@@ -9,6 +9,7 @@ bipartite-matching feasibility test, so values are exact, never approximated.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple, Union
@@ -98,98 +99,93 @@ def _as_pairs(diagram) -> List[Point]:
     return [(float(b), float(d)) for b, d in diagram]
 
 
-def _kuhn_matching(
-    n_left: int, n_right: int, adj: List[List[int]]
+def max_matching(
+    adj: List[List[int]], n_right: int
 ) -> Tuple[int, List[int], List[int]]:
-    """Maximum bipartite matching via augmenting paths.
+    """Maximum bipartite matching by augmenting paths, without recursion.
 
+    Left vertex u has the right neighbours adj[u]. Each phase runs a
+    depth-first search on explicit stacks from every free left vertex; a right
+    vertex visited in a phase stays visited until the phase ends, so one phase
+    costs O(V + E). Phases repeat until one finds no augmenting path.
     Returns (size, match_of_left, match_of_right) with -1 for unmatched.
     """
-    match_l = [-1] * n_left
+    match_l = [-1] * len(adj)
     match_r = [-1] * n_right
-
-    def augment(u: int, seen: List[bool]) -> bool:
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                if match_r[w] == -1 or augment(match_r[w], seen):
-                    match_l[u] = w
-                    match_r[w] = u
-                    return True
-        return False
-
-    size = 0
-    for u in range(n_left):
-        if augment(u, [False] * n_right):
-            size += 1
+    size, before = 0, -1
+    while size != before:
+        before = size
+        seen = [False] * n_right
+        for root in range(len(adj)):
+            if match_l[root] != -1:
+                continue
+            # its[k] scans the neighbours of path[k]; via[k] is the right
+            # vertex path[k] takes on augmenting, now matched to path[k + 1]
+            path, via, its = [root], [], [iter(adj[root])]
+            while its:
+                for w in its[-1]:
+                    if not seen[w]:
+                        seen[w] = True
+                        break
+                else:
+                    path.pop()
+                    its.pop()
+                    if via:
+                        via.pop()
+                    continue
+                via.append(w)
+                u = match_r[w]
+                if u == -1:
+                    for u, w in zip(path, via):
+                        match_l[u] = w
+                        match_r[w] = u
+                    size += 1
+                    break
+                path.append(u)
+                its.append(iter(adj[u]))
     return size, match_l, match_r
-
-
-def _feasible(
-    pts1: List[Point],
-    pts2: List[Point],
-    gr: Ground,
-    lam: float,
-    want_matching: bool,
-):
-    """Perfect matching test at threshold lam on the doubled bipartite graph.
-
-    Left side: pts1 then a diagonal copy per point of pts2; right side: pts2
-    then a diagonal copy per point of pts1. A point may retire to its own
-    diagonal copy when its diagonal cost is within lam; diagonal copies pair
-    with each other for free.
-    """
-    n1, n2 = len(pts1), len(pts2)
-    total = n1 + n2
-    adj: List[List[int]] = [[] for _ in range(total)]
-    for i, x in enumerate(pts1):
-        row = adj[i]
-        for j, y in enumerate(pts2):
-            if gr.dist(x, y) <= lam:
-                row.append(j)
-        if gr.to_diagonal(x) <= lam:
-            row.append(n2 + i)
-    for j, y in enumerate(pts2):
-        row = adj[n1 + j]
-        if gr.to_diagonal(y) <= lam:
-            row.append(j)
-        row.extend(range(n2, n2 + n1))
-    size, match_l, _ = _kuhn_matching(total, total, adj)
-    ok = size == total
-    if not want_matching or not ok:
-        return ok, None
-    pairs: List[Tuple[object, object]] = []
-    for i, x in enumerate(pts1):
-        w = match_l[i]
-        pairs.append((x, pts2[w]) if w < n2 else (x, DIAGONAL))
-    for j, y in enumerate(pts2):
-        w = match_l[n1 + j]
-        if w < n2:
-            pairs.append((DIAGONAL, y))
-    return ok, pairs
 
 
 def _bottleneck_value(
     pts1: List[Point], pts2: List[Point], gr: Ground
-) -> Tuple[float, List[float]]:
-    candidates = {0.0}
-    for x in pts1:
-        candidates.add(gr.to_diagonal(x))
-        for y in pts2:
-            candidates.add(gr.dist(x, y))
-    for y in pts2:
-        candidates.add(gr.to_diagonal(y))
-    ordered = sorted(candidates)
+) -> Tuple[float, List[int]]:
+    """Exact bottleneck value and the left side of an optimal matching.
+
+    Binary search over the sorted candidate thresholds, each probe a perfect
+    matching test on the doubled bipartite graph. Left side: pts1 then a
+    diagonal copy per point of pts2; right side: pts2 then a diagonal copy per
+    point of pts1. A point may retire to its own diagonal copy when its
+    diagonal cost is within the threshold; diagonal copies pair with each
+    other for free.
+    """
+    n1, n2 = len(pts1), len(pts2)
+    cost = [[gr.dist(x, y) for y in pts2] for x in pts1]
+    diag1 = [gr.to_diagonal(x) for x in pts1]
+    diag2 = [gr.to_diagonal(y) for y in pts2]
+    # distinct candidates by sorting, not by a set: a set of the n1*n2 costs
+    # takes more memory than the cost matrix itself
+    everything = itertools.chain([0.0], diag1, diag2, *cost)
+    ordered = [c for c, _ in itertools.groupby(sorted(everything))]
+    # shared by every diagonal-copy row; max_matching only reads adj
+    diag_copies = list(range(n2, n2 + n1))
+    # ordered[hi] is always feasible: every point retires to the diagonal
+    match_l = [*diag_copies, *range(n2)]
     lo, hi = 0, len(ordered) - 1
-    # ordered[hi] is always feasible: everything to the diagonal
     while lo < hi:
         mid = (lo + hi) // 2
-        ok, _ = _feasible(pts1, pts2, gr, ordered[mid], False)
-        if ok:
-            hi = mid
+        lam = ordered[mid]
+        adj = [[j for j, c in enumerate(row) if c <= lam] for row in cost]
+        for i, d in enumerate(diag1):
+            if d <= lam:
+                adj[i].append(n2 + i)
+        for j, d in enumerate(diag2):
+            adj.append([j, *diag_copies] if d <= lam else diag_copies)
+        size, probe_l, _ = max_matching(adj, n1 + n2)
+        if size == n1 + n2:
+            hi, match_l = mid, probe_l
         else:
             lo = mid + 1
-    return ordered[lo], ordered
+    return ordered[lo], match_l
 
 
 def bottleneck(
@@ -198,8 +194,15 @@ def bottleneck(
     """Exact bottleneck distance and an optimal matching between two diagrams."""
     gr = resolve_ground(ground)
     pts1, pts2 = _as_pairs(d1), _as_pairs(d2)
-    value, _ = _bottleneck_value(pts1, pts2, gr)
-    _, pairs = _feasible(pts1, pts2, gr, value, True)
+    value, match_l = _bottleneck_value(pts1, pts2, gr)
+    n1, n2 = len(pts1), len(pts2)
+    pairs: List[Tuple[object, object]] = []
+    for i, x in enumerate(pts1):
+        w = match_l[i]
+        pairs.append((x, pts2[w]) if w < n2 else (x, DIAGONAL))
+    for j, y in enumerate(pts2):
+        if match_l[n1 + j] < n2:
+            pairs.append((DIAGONAL, y))
     return value, Matching(tuple(pairs), value)
 
 
@@ -294,15 +297,3 @@ def hausdorff_bottleneck(
         _directed_hausdorff(b, a, gr, prunable),
     )
 
-
-def bottleneck_monotonicity_check(
-    p, q, ground_lo: Union[str, Ground], ground_hi: Union[str, Ground]
-) -> bool:
-    """True iff the bottleneck under a pointwise-smaller ground stays smaller.
-
-    Callers guarantee ground_lo <= ground_hi on every point pair; the check
-    realizes the matching-exchange argument computationally.
-    """
-    lo = bottleneck_value(p, q, ground_lo)
-    hi = bottleneck_value(p, q, ground_hi)
-    return lo <= hi + 1e-12

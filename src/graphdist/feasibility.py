@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from .cycles import LoopSystem, shortest_loop_system
-from .diagram_distances import L1Ground, Matching
+from .diagram_distances import L1Ground, Matching, max_matching
 from .errors import NotABouquet, NotTreeOfLoops, SizeMismatch
 from .graph_distances import intrinsic_cech_distance, persistence_distortion
 from .metric_graph import Edge, MetricGraph, validate
@@ -33,16 +33,6 @@ def in_feasible_region(z: Point, s: float, tol: float = 0.0) -> bool:
         and z2 >= s - tol
         and z2 <= z1 + s + tol
     )
-
-
-def ideal_replacement_no_worse(z: Point, s: float, t: float) -> bool:
-    """For z in the region of (0, s): replacing z by (0, s) cannot increase the
-    l1 distance to any axis point (0, t). Always true; exercised as a property.
-    """
-    scale = max(1.0, abs(s), abs(t), abs(z[0]), abs(z[1]))
-    lhs = abs(s - t)
-    rhs = abs(z[0]) + abs(z[1] - t)
-    return lhs <= rhs + 1e-12 * scale
 
 
 @dataclass(frozen=True)
@@ -99,21 +89,7 @@ def perfect_matching(fg: FeasibilityGraph) -> Union[Matching, HallWitness]:
     """
     n = len(fg.s_values)
     adj = fg.adjacency()
-    match_l = [-1] * n
-    match_r: Dict[int, int] = {}
-
-    def augment(u: int, seen: set) -> bool:
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                if w not in match_r or augment(match_r[w], seen):
-                    match_l[u] = w
-                    match_r[w] = u
-                    return True
-        return False
-
-    for u in range(n):
-        augment(u, set())
+    _, match_l, match_r = max_matching(adj, len(fg.points))
 
     free = [u for u in range(n) if match_l[u] == -1]
     if free:
@@ -127,8 +103,8 @@ def perfect_matching(fg: FeasibilityGraph) -> Union[Matching, HallWitness]:
                 for w in adj[u]:
                     if w not in reach_r:
                         reach_r.add(w)
-                        mu = match_r.get(w)
-                        if mu is not None and mu not in reach_l:
+                        mu = match_r[w]
+                        if mu != -1 and mu not in reach_l:
                             reach_l.add(mu)
                             nxt.append(mu)
             frontier = nxt

@@ -3,7 +3,8 @@
 These deliberately avoid the production code paths: the bottleneck oracle is
 a bitmask DP over the full matching space (cross-checked below by literal
 enumeration), and the cycle-basis oracle enumerates every independent subset
-of all loops of the graph.
+of all loops of the graph. `kuhn_bottleneck_value` keeps the earlier
+recursive-matching bottleneck as a differential oracle for the iterative one.
 """
 
 from __future__ import annotations
@@ -68,6 +69,74 @@ def brute_bottleneck_enum(
                         cost = max(cost, gr.to_diagonal(pts2[j]))
                 best = min(best, cost)
     return best
+
+
+def _kuhn_matching(n_left: int, n_right: int, adj: List[List[int]]) -> int:
+    """Size of a maximum bipartite matching by recursive augmenting paths."""
+    match_r = [-1] * n_right
+
+    def augment(u: int, seen: List[bool]) -> bool:
+        for w in adj[u]:
+            if not seen[w]:
+                seen[w] = True
+                if match_r[w] == -1 or augment(match_r[w], seen):
+                    match_r[w] = u
+                    return True
+        return False
+
+    return sum(augment(u, [False] * n_right) for u in range(n_left))
+
+
+def _feasible(pts1: Sequence[Point], pts2: Sequence[Point], gr: Ground, lam: float) -> bool:
+    """Perfect matching test at threshold lam on the doubled bipartite graph."""
+    n1, n2 = len(pts1), len(pts2)
+    total = n1 + n2
+    adj: List[List[int]] = [[] for _ in range(total)]
+    for i, x in enumerate(pts1):
+        row = adj[i]
+        for j, y in enumerate(pts2):
+            if gr.dist(x, y) <= lam:
+                row.append(j)
+        if gr.to_diagonal(x) <= lam:
+            row.append(n2 + i)
+    for j, y in enumerate(pts2):
+        row = adj[n1 + j]
+        if gr.to_diagonal(y) <= lam:
+            row.append(j)
+        row.extend(range(n2, n2 + n1))
+    return _kuhn_matching(total, total, adj) == total
+
+
+def kuhn_bottleneck_value(pts1: Sequence[Point], pts2: Sequence[Point], ground="l1") -> float:
+    """Exact bottleneck by binary search over candidate thresholds, rebuilding
+    the graph and rerunning a recursive matcher at every probe."""
+    gr: Ground = resolve_ground(ground)
+    candidates = {0.0}
+    for x in pts1:
+        candidates.add(gr.to_diagonal(x))
+        for y in pts2:
+            candidates.add(gr.dist(x, y))
+    for y in pts2:
+        candidates.add(gr.to_diagonal(y))
+    ordered = sorted(candidates)
+    lo, hi = 0, len(ordered) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _feasible(pts1, pts2, gr, ordered[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return ordered[lo]
+
+
+def ideal_replacement_no_worse(z: Point, s: float, t: float) -> bool:
+    """For z in the region of (0, s): replacing z by (0, s) cannot increase the
+    l1 distance to any axis point (0, t). Always true; exercised as a property.
+    """
+    scale = max(1.0, abs(s), abs(t), abs(z[0]), abs(z[1]))
+    lhs = abs(s - t)
+    rhs = abs(z[0]) + abs(z[1] - t)
+    return lhs <= rhs + 1e-12 * scale
 
 
 def all_closed_walk_edge_sets(g: MetricGraph) -> List[Tuple[frozenset, float]]:

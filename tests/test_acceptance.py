@@ -18,7 +18,6 @@ from graphdist import (
     first_betti,
     geodesic_distance,
     geodesic_field,
-    ideal_replacement_no_worse,
     in_feasible_region,
     intrinsic_cech_diagram,
     intrinsic_cech_distance,
@@ -34,7 +33,7 @@ from graphdist import (
 from graphdist.cli import main as cli_main
 from graphdist.harness import random_base_point, random_tree_of_loops_spec
 
-from oracles import brute_bottleneck, hall_condition_holds
+from oracles import brute_bottleneck, hall_condition_holds, ideal_replacement_no_worse
 
 
 def _report(criterion: str) -> None:

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,14 +10,13 @@ from graphdist import (
     EmptySet,
     NegativeValue,
     bottleneck,
-    bottleneck_monotonicity_check,
     bottleneck_value,
     hausdorff_bottleneck,
     yaxis_bottleneck,
 )
-from graphdist.diagram_distances import Ground, L1Ground
+from graphdist.diagram_distances import Ground, L1Ground, resolve_ground
 
-from oracles import brute_bottleneck, brute_bottleneck_enum
+from oracles import brute_bottleneck, brute_bottleneck_enum, kuhn_bottleneck_value
 
 
 def random_diagram(rng, max_points=5, max_value=10.0):
@@ -26,6 +26,12 @@ def random_diagram(rng, max_points=5, max_value=10.0):
         d = b + rng.uniform(0, max_value)
         pts.append((b, d))
     return pts
+
+
+def exp_diagram(rng, n):
+    """n points with births U(0, 10) and persistence Exp(mean 2)."""
+    births = [rng.uniform(0, 10) for _ in range(n)]
+    return [(b, b + rng.expovariate(0.5)) for b in births]
 
 
 def random_yaxis(rng, max_points=6, max_value=10.0):
@@ -118,6 +124,70 @@ def test_ground_metric_sandwich(seed):
     assert v1 <= 2.0 * vinf + 1e-12
 
 
+def matching_cost(matching, ground):
+    gr = resolve_ground(ground)
+    return max(
+        (
+            gr.to_diagonal(r) if l is DIAGONAL
+            else gr.to_diagonal(l) if r is DIAGONAL
+            else gr.dist(l, r)
+            for l, r in matching.pairs
+        ),
+        default=0.0,
+    )
+
+
+def test_bottleneck_bit_equal_to_recursive_kuhn_path():
+    rng = random.Random(2024)
+    sizes = [(0, 0), (0, 7), (9, 0), (1, 1), (150, 150), (140, 3), (60, 90)]
+    sizes += [(rng.randint(0, 40), rng.randint(0, 40)) for _ in range(8)]
+    for n1, n2 in sizes:
+        d1, d2 = exp_diagram(rng, n1), exp_diagram(rng, n2)
+        for ground in ("l1", "linf", DeathGapGround()):
+            value, matching = bottleneck(d1, d2, ground)
+            assert value == kuhn_bottleneck_value(d1, d2, ground)
+            assert bottleneck_value(d1, d2, ground) == value
+            lefts = [l for l, _ in matching.pairs if l is not DIAGONAL]
+            rights = [r for _, r in matching.pairs if r is not DIAGONAL]
+            assert sorted(lefts) == sorted(d1)
+            assert sorted(rights) == sorted(d2)
+            assert matching_cost(matching, ground) == value == matching.cost
+
+
+def test_bottleneck_600_points_is_certified():
+    # 600 points per side once overflowed the recursive augmenting search
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    rng = np.random.default_rng(600)
+    a, b = [], []
+    for diagram in (a, b):
+        birth = rng.uniform(0.0, 10.0, 600)
+        diagram.extend(zip(birth, birth + rng.exponential(2.0, 600)))
+    a, b = np.array(a), np.array(b)
+    d1 = [(float(x), float(y)) for x, y in a]
+    d2 = [(float(x), float(y)) for x, y in b]
+    value, matching = bottleneck(d1, d2, "l1")
+    assert sorted(l for l, _ in matching.pairs if l is not DIAGONAL) == sorted(d1)
+    assert sorted(r for _, r in matching.pairs if r is not DIAGONAL) == sorted(d2)
+    assert matching_cost(matching, "l1") == value
+
+    # no perfect matching exists at the next-lower candidate threshold
+    cross = np.abs(a[:, None, 0] - b[None, :, 0]) + np.abs(a[:, None, 1] - b[None, :, 1])
+    da, db = a[:, 1] - a[:, 0], b[:, 1] - b[:, 0]
+    ordered = np.unique(np.concatenate([cross.ravel(), da, db, [0.0]]))
+    k = int(np.searchsorted(ordered, value))
+    assert ordered[k] == value and k > 0
+    lam, n = ordered[k - 1], 600
+    doubled = np.zeros((2 * n, 2 * n), dtype=bool)
+    doubled[:n, :n] = cross <= lam
+    doubled[np.arange(n), n + np.arange(n)] = da <= lam
+    doubled[n + np.arange(n), np.arange(n)] = db <= lam
+    doubled[n:, n:] = True
+    match = maximum_bipartite_matching(csr_matrix(doubled), perm_type="column")
+    assert (match >= 0).sum() < 2 * n
+
+
 # --------------------------------------------------------------------- y-axis
 
 
@@ -196,6 +266,17 @@ def test_hausdorff_pruned_equals_plain(seed):
 
 
 # --------------------------------------------------------------- monotonicity
+
+
+def bottleneck_monotonicity_check(p, q, ground_lo, ground_hi) -> bool:
+    """True iff the bottleneck under a pointwise-smaller ground stays smaller.
+
+    Callers guarantee ground_lo <= ground_hi on every point pair; the check
+    realizes the matching-exchange argument computationally.
+    """
+    lo = bottleneck_value(p, q, ground_lo)
+    hi = bottleneck_value(p, q, ground_hi)
+    return lo <= hi + 1e-12
 
 
 class DeathGapGround(Ground):

@@ -17,7 +17,6 @@ from graphdist import (
     bouquet,
     build_feasibility_graph,
     extended_persistence_1d,
-    ideal_replacement_no_worse,
     in_feasible_region,
     intrinsic_cech_distance,
     is_bouquet,
@@ -35,7 +34,7 @@ from graphdist import (
 )
 from graphdist.harness import random_tree_of_loops_spec
 
-from oracles import hall_condition_holds
+from oracles import hall_condition_holds, ideal_replacement_no_worse
 
 
 # -------------------------------------------------------------------- regions
@@ -145,6 +144,24 @@ def test_hall_witness_when_both_lefts_share_one_neighbor():
     assert isinstance(result, HallWitness)
     assert result.left_indices == (0, 1)
     assert result.neighbor_indices == (0,)
+
+
+def test_perfect_matching_on_long_alternating_chain():
+    # every augmenting search first walks back along the whole chain, which
+    # once overflowed the recursive matcher
+    n = 3000
+    edges = [(0, 0)]
+    for u in range(1, n):
+        edges += [(u, u - 1), (u, u)]
+    fg = FeasibilityGraph(
+        s_values=tuple(float(u + 1) for u in range(n)),
+        points=tuple((0.0, float(u + 1)) for u in range(n)),
+        edges=tuple(edges),
+    )
+    result = perfect_matching(fg)
+    assert isinstance(result, Matching)
+    assert result.pairs == tuple(((0.0, float(u + 1)),) * 2 for u in range(n))
+    assert result.cost == 0.0
 
 
 def test_perfect_matching_exists_on_random_instances():

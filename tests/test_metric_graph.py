@@ -86,6 +86,27 @@ def test_subdivide_self_loop_makes_parallel_edges():
     assert set(parent.values()) == {"loop"}
 
 
+def test_subdivide_maps_repeated_and_endpoint_points():
+    g = named("dumbbell:2,1,4")
+    bar = g.edge_by_id["bar"]
+    mid, quarter = GraphPoint.on_edge("bar", 0.5), GraphPoint.on_edge("loopA", 0.25)
+    start, end = GraphPoint.on_edge("bar", 0.0), GraphPoint.on_edge("bar", bar.length)
+    points = [mid, quarter, start, GraphPoint.on_edge("bar", 0.5), end, quarter]
+    g2, mapping, parent = subdivide(g, points)
+    assert mapping == {
+        mid: "bar@0.5",
+        quarter: "loopA@0.25",
+        start: bar.u,
+        end: bar.v,
+    }
+    assert g2.vertices == g.vertices + ("loopA@0.25", "bar@0.5")
+    assert len(g2.edges) == len(g.edges) + 2
+    assert sorted(parent) == sorted(
+        [e.id for e in g.edges if e.id not in ("bar", "loopA")]
+        + ["bar#0", "bar#1", "loopA#0", "loopA#1"]
+    )
+
+
 def test_subdivide_preserves_geodesic_distance():
     g = named("dumbbell:2,1,4")
     pairs = [
