@@ -163,7 +163,6 @@ def _cmd_verify(args) -> int:
         args.n,
         args.seed,
         delta=args.delta,
-        jobs=args.jobs,
         corrupt_dic=args.corrupt_dic,
     )
     if args.format == "table":
@@ -238,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--out")
     p.add_argument("--corrupt-dic", type=float, default=0.0, help=argparse.SUPPRESS)

@@ -11,14 +11,14 @@ bug).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import List, Optional, Tuple, Union
 
 from .cycles import LoopSystem, shortest_loop_system
 from .diagram_distances import L1Ground, Matching, max_matching
 from .errors import NotABouquet, NotTreeOfLoops, SizeMismatch
 from .graph_distances import intrinsic_cech_distance, persistence_distortion
-from .metric_graph import Edge, MetricGraph, validate
+from .metric_graph import MetricGraph, _component_of, validate
 from .persistence import Diagram
 
 Point = Tuple[float, float]
@@ -125,41 +125,16 @@ def perfect_matching(fg: FeasibilityGraph) -> Union[Matching, HallWitness]:
     return Matching(pairs=pairs, cost=cost)
 
 
-def smooth_degree_two(g: MetricGraph) -> MetricGraph:
-    """Merge the two edges at every loop-free degree-2 vertex (a geometric no-op)."""
-    vertices = list(g.vertices)
-    edges = {e.id: e for e in g.edges}
-    changed = True
-    while changed and len(vertices) > 1:
-        changed = False
-        for x in list(vertices):
-            incident = [
-                e
-                for e in edges.values()
-                if x in (e.u, e.v)
-            ]
-            if any(e.is_self_loop and x in (e.u, e.v) for e in incident):
-                continue
-            if len(incident) != 2:
-                continue
-            e1, e2 = sorted(incident, key=lambda e: e.id)
-            if e1.id == e2.id:
-                continue
-            a, b = e1.other(x), e2.other(x)
-            merged = Edge(f"{e1.id}+{e2.id}", a, b, e1.length + e2.length)
-            del edges[e1.id]
-            del edges[e2.id]
-            edges[merged.id] = merged
-            vertices.remove(x)
-            changed = True
-            break
-    return MetricGraph(tuple(vertices), tuple(edges.values()))
-
-
 def is_bouquet(g: MetricGraph) -> bool:
-    """One vertex after smoothing degree-2 chains, every edge a self-loop."""
-    smooth = smooth_degree_two(g)
-    return len(smooth.vertices) == 1 and all(e.is_self_loop for e in smooth.edges)
+    """One vertex after smoothing degree-2 chains, every edge a self-loop.
+
+    Smoothing removes only degree-2 vertices and leaves every other degree
+    unchanged, so this holds exactly when g is connected and at most one
+    vertex has degree other than 2.
+    """
+    if not g.vertices or len(_component_of(g, g.vertices[0])) != len(g.vertices):
+        return False
+    return sum(g.degree(v) != 2 for v in g.vertices) <= 1
 
 
 def is_tree_of_loops(g: MetricGraph) -> bool:
@@ -186,19 +161,16 @@ class Report:
     verdict: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "seed": self.seed,
-            "dic": self.dic,
-            "dpd_estimate": self.dpd_estimate,
-            "dpd_error_bound": self.dpd_error_bound,
-            "ratio": self.ratio,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 def _make_report(
-    dic: float, estimate: float, bound: float, gated: bool
+    dic: float,
+    estimate: float,
+    bound: float,
+    gated: bool,
+    family: str = "",
+    seed: int = -1,
 ) -> Report:
     threshold = 0.5 * (estimate + bound)
     if threshold > 0.0:
@@ -210,14 +182,22 @@ def _make_report(
     else:
         verdict = "INFO"
     return Report(
-        family="",
-        seed=-1,
+        family=family,
+        seed=seed,
         dic=dic,
         dpd_estimate=estimate,
         dpd_error_bound=bound,
         ratio=ratio,
         verdict=verdict,
     )
+
+
+def _distances_report(
+    g1: MetricGraph, g2: MetricGraph, delta: float, gated: bool
+) -> Report:
+    dic = intrinsic_cech_distance(g1, g2)
+    estimate, bound = persistence_distortion(g1, g2, delta)
+    return _make_report(dic, estimate, bound, gated)
 
 
 def verify_bouquet_inequality(
@@ -228,9 +208,7 @@ def verify_bouquet_inequality(
     validate(g2)
     if not is_bouquet(g1):
         raise NotABouquet("first graph is not a bouquet")
-    dic = intrinsic_cech_distance(g1, g2)
-    estimate, bound = persistence_distortion(g1, g2, delta)
-    return _make_report(dic, estimate, bound, gated=True)
+    return _distances_report(g1, g2, delta, gated=True)
 
 
 def verify_tree_of_loops_inequality(
@@ -241,30 +219,23 @@ def verify_tree_of_loops_inequality(
     validate(g2)
     if not (is_tree_of_loops(g1) and is_tree_of_loops(g2)):
         raise NotTreeOfLoops("both graphs must be trees of loops")
-    dic = intrinsic_cech_distance(g1, g2)
-    estimate, bound = persistence_distortion(g1, g2, delta)
-    return _make_report(dic, estimate, bound, gated=True)
+    return _distances_report(g1, g2, delta, gated=True)
 
 
 def compare_arbitrary(g1: MetricGraph, g2: MetricGraph, delta: float) -> Report:
     """Exploratory: record the ratio for an arbitrary pair, never gated."""
     validate(g1)
     validate(g2)
-    dic = intrinsic_cech_distance(g1, g2)
-    estimate, bound = persistence_distortion(g1, g2, delta)
-    return _make_report(dic, estimate, bound, gated=False)
-
-
-def with_identity(report: Report, family: str, seed: int) -> Report:
-    return replace(report, family=family, seed=seed)
+    return _distances_report(g1, g2, delta, gated=False)
 
 
 def corrupted(report: Report, dic_offset: float) -> Report:
     """Rebuild a report with a corrupted d_IC (forced-violation test fixture)."""
-    bad = _make_report(
+    return _make_report(
         report.dic + dic_offset,
         report.dpd_estimate,
         report.dpd_error_bound,
-        gated=report.verdict != "INFO",
+        report.verdict != "INFO",
+        report.family,
+        report.seed,
     )
-    return replace(bad, family=report.family, seed=report.seed)

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from typing import List, Tuple, Union
 
 from .cycles import shortest_loop_system
-from .diagram_distances import Ground, hausdorff_bottleneck
-from .errors import GraphFormatError
+from .diagram_distances import Ground, hausdorff_bottleneck, yaxis_bottleneck
+from .errors import GraphError, GraphFormatError
 from .metric_graph import GraphPoint, MetricGraph
 from .persistence import Diagram, DiagramPoint, extended_persistence_1d
 
@@ -27,12 +27,9 @@ def intrinsic_cech_distance(g1: MetricGraph, g2: MetricGraph) -> float:
     Equals the l1 bottleneck between the two intrinsic Cech diagrams; in
     particular it is 0 for any two trees.
     """
-    s = list(shortest_loop_system(g1).half_lengths)
-    t = list(shortest_loop_system(g2).half_lengths)
-    n = max(len(s), len(t))
-    s = [0.0] * (n - len(s)) + s
-    t = [0.0] * (n - len(t)) + t
-    return max((abs(a - b) / 2.0 for a, b in zip(s, t)), default=0.0)
+    s = shortest_loop_system(g1).half_lengths
+    t = shortest_loop_system(g2).half_lengths
+    return yaxis_bottleneck(s, t) / 2.0
 
 
 @dataclass(frozen=True)
@@ -50,6 +47,11 @@ class SampledPhi:
         return [d for _, d in self.samples]
 
 
+#: Most base points sampled on one graph; a tinier delta fails instead of
+#: running without bound.
+MAX_SAMPLES = 100_000
+
+
 def sample_base_points(g: MetricGraph, delta: float) -> List[GraphPoint]:
     if not (delta > 0):
         raise GraphFormatError(f"delta must be positive, got {delta!r}")
@@ -60,6 +62,11 @@ def sample_base_points(g: MetricGraph, delta: float) -> List[GraphPoint]:
             off = k * delta
             if off >= e.length - 1e-9 * e.length:
                 break
+            if len(points) >= MAX_SAMPLES:
+                raise GraphError(
+                    f"delta {delta!r} needs more than {MAX_SAMPLES} samples "
+                    f"on a graph of total length {g.total_length!r}"
+                )
             points.append(GraphPoint.on_edge(e.id, off))
             k += 1
     return points

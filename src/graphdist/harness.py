@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from typing import List, Optional, Tuple
 
 from .cycles import shortest_loop_system
@@ -13,14 +13,11 @@ from .feasibility import (
     corrupted,
     verify_bouquet_inequality,
     verify_tree_of_loops_inequality,
-    with_identity,
     Report,
 )
 from .generators import TreeOfLoopsSpec, bouquet, random_metric_graph, tree_of_loops
 from .geodesics import shortest_path_tree
 from .metric_graph import GraphPoint, MetricGraph
-
-FAMILIES = ("bouquet", "tree-of-loops", "trees", "arbitrary")
 
 
 def _instance_seed(seed: int, index: int) -> int:
@@ -88,40 +85,48 @@ def pick_delta(graphs: Tuple[MetricGraph, ...], fraction: float = 0.05) -> float
     return fraction * min(e.length for g in graphs for e in g.edges)
 
 
-def _run_one(
-    family: str, seed: int, index: int, delta: Optional[float], corrupt_dic: float
-) -> Report:
-    iseed = _instance_seed(seed, index)
-    rng = random.Random(iseed)
-    if family == "bouquet":
-        g1 = random_bouquet(rng)
-        g2 = random_arbitrary_graph(rng)
-        d = delta if delta is not None else pick_delta((g1, g2))
-        report = verify_bouquet_inequality(g1, g2, d)
-    elif family == "tree-of-loops":
-        g1 = tree_of_loops(random_tree_of_loops_spec(rng))
-        g2 = tree_of_loops(random_tree_of_loops_spec(rng))
-        d = delta if delta is not None else pick_delta((g1, g2))
-        report = verify_tree_of_loops_inequality(g1, g2, d)
-    elif family == "trees":
-        # metric trees are trees of loops without loops; their Cech distance
-        # is always 0
-        n1, n2 = rng.randint(3, 6), rng.randint(3, 6)
-        g1 = random_metric_graph(n1, n1 - 1, (0.5, 2.0), seed=rng.randrange(2**32))
-        g2 = random_metric_graph(n2, n2 - 1, (0.5, 2.0), seed=rng.randrange(2**32))
-        d = delta if delta is not None else pick_delta((g1, g2))
-        report = verify_tree_of_loops_inequality(g1, g2, d)
-    elif family == "arbitrary":
-        g1 = random_arbitrary_graph(rng, min_extra=0)
-        g2 = random_arbitrary_graph(rng, min_extra=0)
-        d = delta if delta is not None else pick_delta((g1, g2))
-        report = compare_arbitrary(g1, g2, d)
-    else:
-        raise GraphError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    report = with_identity(report, family, iseed)
-    if corrupt_dic:
-        report = corrupted(report, corrupt_dic)
-    return report
+def _draw_bouquet(rng: random.Random) -> Tuple[MetricGraph, MetricGraph]:
+    return random_bouquet(rng), random_arbitrary_graph(rng)
+
+
+def _draw_tree_of_loops(rng: random.Random) -> Tuple[MetricGraph, MetricGraph]:
+    g1 = tree_of_loops(random_tree_of_loops_spec(rng))
+    return g1, tree_of_loops(random_tree_of_loops_spec(rng))
+
+
+def _draw_trees(rng: random.Random) -> Tuple[MetricGraph, MetricGraph]:
+    # metric trees are trees of loops without loops; their Cech distance is
+    # always 0
+    n1, n2 = rng.randint(3, 6), rng.randint(3, 6)
+    g1 = random_metric_graph(n1, n1 - 1, (0.5, 2.0), seed=rng.randrange(2**32))
+    g2 = random_metric_graph(n2, n2 - 1, (0.5, 2.0), seed=rng.randrange(2**32))
+    return g1, g2
+
+
+def _draw_arbitrary(rng: random.Random) -> Tuple[MetricGraph, MetricGraph]:
+    g1 = random_arbitrary_graph(rng, min_extra=0)
+    return g1, random_arbitrary_graph(rng, min_extra=0)
+
+
+# family -> (draw the instance's two graphs, check them at delta). The checks
+# look the verifiers up when called, so wrappers patched onto this module's
+# names take effect.
+_FAMILY_TABLE = {
+    "bouquet": (
+        _draw_bouquet,
+        lambda g1, g2, d: verify_bouquet_inequality(g1, g2, d),
+    ),
+    "tree-of-loops": (
+        _draw_tree_of_loops,
+        lambda g1, g2, d: verify_tree_of_loops_inequality(g1, g2, d),
+    ),
+    "trees": (
+        _draw_trees,
+        lambda g1, g2, d: verify_tree_of_loops_inequality(g1, g2, d),
+    ),
+    "arbitrary": (_draw_arbitrary, lambda g1, g2, d: compare_arbitrary(g1, g2, d)),
+}
+FAMILIES = tuple(_FAMILY_TABLE)
 
 
 def run_verification(
@@ -129,17 +134,21 @@ def run_verification(
     n_instances: int,
     seed: int,
     delta: Optional[float] = None,
-    jobs: int = 1,
     corrupt_dic: float = 0.0,
 ) -> List[Report]:
-    """Run seeded instances; reports come back ordered by instance regardless
-    of scheduling."""
+    """Run seeded instances; reports come back ordered by instance."""
     if family == "bouquet-vs-arbitrary":
         family = "bouquet"
-    indices = range(n_instances)
-    if jobs <= 1:
-        return [_run_one(family, seed, i, delta, corrupt_dic) for i in indices]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(
-            pool.map(lambda i: _run_one(family, seed, i, delta, corrupt_dic), indices)
-        )
+    if family not in _FAMILY_TABLE:
+        raise GraphError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    draw, check = _FAMILY_TABLE[family]
+    reports = []
+    for index in range(n_instances):
+        iseed = _instance_seed(seed, index)
+        g1, g2 = draw(random.Random(iseed))
+        d = delta if delta is not None else pick_delta((g1, g2))
+        report = replace(check(g1, g2, d), family=family, seed=iseed)
+        if corrupt_dic:
+            report = corrupted(report, corrupt_dic)
+        reports.append(report)
+    return reports

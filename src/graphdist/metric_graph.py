@@ -270,16 +270,18 @@ def to_json_dict(g: MetricGraph) -> dict:
 
 def from_json_dict(data: dict) -> MetricGraph:
     try:
-        vertices = [str(v) for v in data["vertices"]]
-        raw_edges = data["edges"]
+        raw_vertices, raw_edges = data["vertices"], data["edges"]
     except (KeyError, TypeError) as exc:
         raise GraphFormatError(f"missing or malformed field: {exc}") from exc
+    if not (isinstance(raw_vertices, list) and isinstance(raw_edges, list)):
+        raise GraphFormatError("'vertices' and 'edges' must be lists")
+    vertices = [str(v) for v in raw_vertices]
     edges = []
     for rec in raw_edges:
         try:
             eid, u, v = str(rec["id"]), str(rec["u"]), str(rec["v"])
             length = float(rec["length"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise GraphFormatError(f"malformed edge record {rec!r}") from exc
         if not math.isfinite(length) or length <= 0.0:
             raise GraphFormatError(

@@ -4,7 +4,8 @@ These deliberately avoid the production code paths: the bottleneck oracle is
 a bitmask DP over the full matching space (cross-checked below by literal
 enumeration), and the cycle-basis oracle enumerates every independent subset
 of all loops of the graph. `kuhn_bottleneck_value` keeps the earlier
-recursive-matching bottleneck as a differential oracle for the iterative one.
+recursive-matching bottleneck as a differential oracle for the iterative one,
+and `smooth_degree_two` the earlier smoothing loop that decided `is_bouquet`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from itertools import combinations, permutations
 from typing import Iterable, List, Sequence, Tuple
 
-from graphdist import MetricGraph
+from graphdist import Edge, MetricGraph
 from graphdist.diagram_distances import Ground, resolve_ground
 
 Point = Tuple[float, float]
@@ -127,6 +128,37 @@ def kuhn_bottleneck_value(pts1: Sequence[Point], pts2: Sequence[Point], ground="
         else:
             lo = mid + 1
     return ordered[lo]
+
+
+def smooth_degree_two(g: MetricGraph) -> MetricGraph:
+    """Merge the two edges at every loop-free degree-2 vertex (a geometric no-op)."""
+    vertices = list(g.vertices)
+    edges = {e.id: e for e in g.edges}
+    changed = True
+    while changed and len(vertices) > 1:
+        changed = False
+        for x in list(vertices):
+            incident = [
+                e
+                for e in edges.values()
+                if x in (e.u, e.v)
+            ]
+            if any(e.is_self_loop and x in (e.u, e.v) for e in incident):
+                continue
+            if len(incident) != 2:
+                continue
+            e1, e2 = sorted(incident, key=lambda e: e.id)
+            if e1.id == e2.id:
+                continue
+            a, b = e1.other(x), e2.other(x)
+            merged = Edge(f"{e1.id}+{e2.id}", a, b, e1.length + e2.length)
+            del edges[e1.id]
+            del edges[e2.id]
+            edges[merged.id] = merged
+            vertices.remove(x)
+            changed = True
+            break
+    return MetricGraph(tuple(vertices), tuple(edges.values()))
 
 
 def ideal_replacement_no_worse(z: Point, s: float, t: float) -> bool:

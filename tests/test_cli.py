@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -223,6 +224,35 @@ def test_input_errors_exit_two(tmp_path):
         )
     )
     assert main(["loops", "--graph", str(disconnected)]) == 2
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"vertices": ["a"], "edges": 5},
+        {"vertices": ["a"], "edges": None},
+        {"vertices": "a", "edges": []},
+        {"vertices": ["a"], "edges": [["e", "a", "a", 1.0]]},
+        {"vertices": ["a"], "edges": [{"id": "e", "u": "a", "v": "a", "length": 10**400}]},
+    ],
+)
+def test_malformed_graph_json_exits_two_with_one_error_line(tmp_path, capsys, data):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(data))
+    assert main(["loops", "--graph", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_dpd_tiny_delta_fails_fast(bouquet_path, capsys):
+    start = time.perf_counter()
+    code = main(["dpd", "--graph", bouquet_path, "--graph2", bouquet_path,
+                 "--delta", "1e-12"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "1e-12" in err[0] and "100000" in err[0]
 
 
 def test_outputs_use_12_significant_digits(tmp_path, capsys):

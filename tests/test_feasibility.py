@@ -9,6 +9,7 @@ from graphdist import (
     GraphPoint,
     HallWitness,
     Matching,
+    MetricGraph,
     NotABouquet,
     NotTreeOfLoops,
     SizeMismatch,
@@ -25,16 +26,17 @@ from graphdist import (
     perfect_matching,
     random_generic_instance,
     shortest_loop_system,
-    smooth_degree_two,
     subdivide,
+    to_json_dict,
     tree_of_loops,
     verify_bouquet_inequality,
     verify_tree_of_loops_inequality,
     yaxis_bottleneck,
 )
 from graphdist.harness import random_tree_of_loops_spec
+from graphdist.metric_graph import _component_of
 
-from oracles import hall_condition_holds, ideal_replacement_no_worse
+from oracles import hall_condition_holds, ideal_replacement_no_worse, smooth_degree_two
 
 
 # -------------------------------------------------------------------- regions
@@ -211,6 +213,44 @@ def test_bouquet_recognizer_rejects_non_bouquets():
     assert not is_bouquet(named("theta"))
     assert not is_bouquet(named("dumbbell:2,1,4"))
     assert not is_bouquet(named("path:1"))
+
+
+def _random_multigraph(rng: random.Random) -> MetricGraph:
+    n = rng.randint(1, 5)
+    vertices = [f"v{i}" for i in range(n)]
+    edges = [
+        (f"e{k}", rng.choice(vertices), rng.choice(vertices), rng.uniform(0.5, 2.0))
+        for k in range(rng.randint(0, 6))
+    ]
+    return MetricGraph.build(vertices, edges)
+
+
+def _random_subdivided_bouquet(rng: random.Random) -> MetricGraph:
+    g = bouquet([rng.uniform(1.0, 3.0) for _ in range(rng.randint(0, 3))])
+    cuts = [
+        GraphPoint.on_edge(e.id, rng.uniform(0.1, 0.9) * e.length)
+        for e in g.edges
+        for _ in range(rng.randint(0, 2))
+    ]
+    return subdivide(g, cuts)[0]
+
+
+def test_bouquet_recognizer_matches_smoothing_oracle():
+    rng = random.Random(20261018)
+    kinds = {"disconnected": 0, "bouquet": 0, "other": 0}
+    for k in range(2000):
+        subdivided = k % 4 == 3
+        g = _random_subdivided_bouquet(rng) if subdivided else _random_multigraph(rng)
+        smooth = smooth_degree_two(g)
+        expected = len(smooth.vertices) == 1 and all(
+            e.is_self_loop for e in smooth.edges
+        )
+        assert is_bouquet(g) == expected, to_json_dict(g)
+        assert expected or not subdivided
+        if len(_component_of(g, g.vertices[0])) < len(g.vertices):
+            kinds["disconnected"] += 1
+        kinds["bouquet" if expected else "other"] += 1
+    assert all(count >= 100 for count in kinds.values()), kinds
 
 
 def test_tree_of_loops_recognizer():

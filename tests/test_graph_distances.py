@@ -18,6 +18,7 @@ from graphdist import (
     random_metric_graph,
     sample_phi,
     tree_of_loops,
+    yaxis_bottleneck,
 )
 
 
@@ -57,6 +58,9 @@ def test_cech_distance_equals_diagram_bottleneck(seed):
         intrinsic_cech_diagram(g1), intrinsic_cech_diagram(g2), "l1"
     )
     assert closed_form == pytest.approx(via_bottleneck, abs=1e-12)
+    deaths1 = [d for _, d in intrinsic_cech_diagram(g1).pairs()]
+    deaths2 = [d for _, d in intrinsic_cech_diagram(g2).pairs()]
+    assert closed_form == yaxis_bottleneck(deaths1, deaths2)
 
 
 @settings(max_examples=30, deadline=None)

@@ -2,9 +2,12 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphdist import (
     Disconnected,
+    GraphError,
     GraphFormatError,
     GraphPoint,
     InvalidPoint,
@@ -66,6 +69,43 @@ def test_parse_point_roundtrip():
     assert p.edge == "e7" and p.offset == 0.25
     with pytest.raises(InvalidPoint):
         parse_point("e7@notanumber")
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=20,
+)
+_edge_records = st.fixed_dictionaries(
+    {"id": _json_values, "u": _json_values, "v": _json_values, "length": _json_values}
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=_json_values
+    | st.fixed_dictionaries(
+        {
+            "vertices": _json_values | st.lists(st.sampled_from(["a", "b"])),
+            "edges": _json_values | st.lists(_edge_records | _json_values, max_size=3),
+        }
+    )
+)
+def test_loader_raises_only_graph_errors(data):
+    try:
+        from_json_dict(data)
+    except GraphError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text() | st.builds("{}@{}".format, st.text(max_size=4), st.text()))
+def test_parse_point_raises_only_graph_errors(text):
+    try:
+        parse_point(text)
+    except GraphError:
+        pass
 
 
 def test_subdivide_empty_is_isomorphic():
