@@ -5,14 +5,24 @@ definitions used throughout this library); the sup metric is available for
 stability checks. The optimum is found by searching the finite set of
 candidate thresholds (all point-to-point and point-to-diagonal costs) with a
 bipartite-matching feasibility test, so values are exact, never approximated.
+The search starts at a per-point bound: every point takes a partner or the
+diagonal, so no threshold below its cheapest option can be feasible.
+
+Inside the Hausdorff-of-bottlenecks, a pair matters only when its bottleneck
+lies strictly between the answer so far and its row's best, so each pair is
+asked about that window alone. The per-point bound or one matching settles
+most pairs (the value is at least the row's best, or at most the answer);
+only values inside the window are searched exactly (decision, then search,
+as in Efrat, Itai and Katz, 2001).
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -147,41 +157,78 @@ def max_matching(
 
 
 def _bottleneck_value(
-    pts1: List[Point], pts2: List[Point], gr: Ground
+    pts1: List[Point],
+    pts2: List[Point],
+    gr: Ground,
+    floor: float = -math.inf,
+    ceil: float = math.inf,
 ) -> Tuple[float, List[int]]:
-    """Exact bottleneck value and the left side of an optimal matching.
+    """Bottleneck value and the left side of a matching of that cost, in a window.
 
-    Binary search over the sorted candidate thresholds, each probe a perfect
-    matching test on the doubled bipartite graph. Left side: pts1 then a
-    diagonal copy per point of pts2; right side: pts2 then a diagonal copy per
-    point of pts1. A point may retire to its own diagonal copy when its
-    diagonal cost is within the threshold; diagonal copies pair with each
-    other for free.
+    A value strictly inside (floor, ceil) is exact. A value at most floor
+    comes back as some candidate at most floor that is feasible, and a value
+    at least ceil as inf with an empty matching. The default window gives the
+    exact value. Needs floor < ceil.
+
+    Every point takes a partner or retires to the diagonal, so the value is at
+    least each point's cheapest option (the bound lb, for any ground) and at
+    most the largest diagonal cost. Only the candidate thresholds between
+    these bounds are sorted. Each probe is a perfect matching test on the
+    doubled bipartite graph. Left side: pts1 then a diagonal copy per point of
+    pts2; right side: pts2 then a diagonal copy per point of pts1. A point may
+    retire to its own diagonal copy when its diagonal cost is within the
+    threshold; diagonal copies pair with each other for free.
     """
     n1, n2 = len(pts1), len(pts2)
     cost = [[gr.dist(x, y) for y in pts2] for x in pts1]
     diag1 = [gr.to_diagonal(x) for x in pts1]
     diag2 = [gr.to_diagonal(y) for y in pts2]
+    row_min = [min(row, default=math.inf) for row in cost]
+    col_min = [min(col) for col in zip(*cost)] if n1 else [math.inf] * n2
+    lb = max(map(min, diag1 + diag2, row_min + col_min), default=0.0)
+    if lb >= ceil:
+        return math.inf, []
+    ub = max(diag1 + diag2, default=0.0)
     # distinct candidates by sorting, not by a set: a set of the n1*n2 costs
     # takes more memory than the cost matrix itself
     everything = itertools.chain([0.0], diag1, diag2, *cost)
-    ordered = [c for c, _ in itertools.groupby(sorted(everything))]
+    ordered = [
+        c for c, _ in itertools.groupby(sorted(c for c in everything if lb <= c <= ub))
+    ]
     # shared by every diagonal-copy row; max_matching only reads adj
     diag_copies = list(range(n2, n2 + n1))
-    # ordered[hi] is always feasible: every point retires to the diagonal
-    match_l = [*diag_copies, *range(n2)]
-    lo, hi = 0, len(ordered) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        lam = ordered[mid]
+
+    def probe(lam: float) -> Optional[List[int]]:
         adj = [[j for j, c in enumerate(row) if c <= lam] for row in cost]
         for i, d in enumerate(diag1):
             if d <= lam:
                 adj[i].append(n2 + i)
         for j, d in enumerate(diag2):
             adj.append([j, *diag_copies] if d <= lam else diag_copies)
-        size, probe_l, _ = max_matching(adj, n1 + n2)
-        if size == n1 + n2:
+        size, match_l, _ = max_matching(adj, n1 + n2)
+        return match_l if size == n1 + n2 else None
+
+    # the largest candidate below ceil; ub is feasible, every point retiring
+    lo, hi = 0, bisect.bisect_left(ordered, ceil) - 1
+    if ub < ceil:
+        match_l = [*diag_copies, *range(n2)]
+    else:
+        match_l = probe(ordered[hi])
+        if match_l is None:
+            return math.inf, []
+    # the largest candidate at most floor decides whether the value is there
+    below = bisect.bisect_right(ordered, floor) - 1
+    if below == hi:
+        return ordered[hi], match_l
+    if below >= 0:
+        probe_l = probe(ordered[below])
+        if probe_l is not None:
+            return ordered[below], probe_l
+        lo = below + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        probe_l = probe(ordered[mid])
+        if probe_l is not None:
             hi, match_l = mid, probe_l
         else:
             lo = mid + 1
@@ -237,33 +284,32 @@ def _diag_profile(pts: List[Point], gr: Ground, width: int) -> List[float]:
 
 
 def _directed_hausdorff(
-    from_diags: List[List[Point]],
-    to_diags: List[List[Point]],
-    gr: Ground,
-    prunable: bool,
+    from_diags: List[List[Point]], to_diags: List[List[Point]], gr: Ground
 ) -> float:
     """sup over from_diags of inf over to_diags of the bottleneck distance.
 
-    When the ground is one of the plane metrics, aligned diagonal-cost
-    profiles give a lower bound on every pairwise bottleneck (the y-axis
-    closed form applied to the 1-Lipschitz diagonal-cost functional), which
-    prunes most exact evaluations without changing the value.
+    A column can change the answer only if its bottleneck lies strictly
+    between the current answer and its row's best so far, so each pair is
+    evaluated in that window: one matching proves it too large (the
+    per-point bound often proves it with none), one proves the row cannot
+    raise the answer, and only values inside the window are searched exactly.
+    For the plane metrics, aligned diagonal-cost profiles also bound every
+    pairwise bottleneck from below (the y-axis closed form applied to the
+    1-Lipschitz diagonal-cost functional); the bound orders the scan and ends
+    a row early. Other grounds scan with an all-zero bound. Every value kept
+    is an exact candidate cost, so the result equals the unpruned one.
     """
-    if not prunable:
-        best_overall = 0.0
-        for da in from_diags:
-            m = min(_bottleneck_value(da, db, gr)[0] for db in to_diags)
-            best_overall = max(best_overall, m)
-        return best_overall
-
-    width = max(
-        max((len(d) for d in from_diags), default=0),
-        max((len(d) for d in to_diags), default=0),
-    )
-    width = max(width, 1)
-    pa = np.array([_diag_profile(d, gr, width) for d in from_diags])
-    pb = np.array([_diag_profile(d, gr, width) for d in to_diags])
-    lb = np.abs(pa[:, None, :] - pb[None, :, :]).max(axis=2)
+    if isinstance(gr, (L1Ground, LinfGround)):
+        width = max(
+            max((len(d) for d in from_diags), default=0),
+            max((len(d) for d in to_diags), default=0),
+            1,
+        )
+        pa = np.array([_diag_profile(d, gr, width) for d in from_diags])
+        pb = np.array([_diag_profile(d, gr, width) for d in to_diags])
+        lb = np.abs(pa[:, None, :] - pb[None, :, :]).max(axis=2)
+    else:
+        lb = np.zeros((len(from_diags), len(to_diags)))
     scan_order = np.argsort(lb, axis=1)
     row_order = np.argsort(-lb.min(axis=1), kind="stable")
 
@@ -274,7 +320,7 @@ def _directed_hausdorff(
         for j in scan_order[i]:
             if best <= answer or lb[i, j] >= best:
                 break
-            value, _ = _bottleneck_value(da, to_diags[j], gr)
+            value, _ = _bottleneck_value(da, to_diags[j], gr, answer, best)
             if value < best:
                 best = value
         if math.isfinite(best) and best > answer:
@@ -291,9 +337,5 @@ def hausdorff_bottleneck(
     gr = resolve_ground(ground)
     a = [_as_pairs(d) for d in s1]
     b = [_as_pairs(d) for d in s2]
-    prunable = isinstance(gr, (L1Ground, LinfGround))
-    return max(
-        _directed_hausdorff(a, b, gr, prunable),
-        _directed_hausdorff(b, a, gr, prunable),
-    )
+    return max(_directed_hausdorff(a, b, gr), _directed_hausdorff(b, a, gr))
 

@@ -301,6 +301,7 @@ def load_graph(path: str) -> MetricGraph:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # not UTF-8, or nested deeper than the decoder's recursion limit
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise GraphFormatError(f"{path}: not valid JSON ({exc})") from exc
     return from_json_dict(data)

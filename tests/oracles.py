@@ -5,7 +5,9 @@ a bitmask DP over the full matching space (cross-checked below by literal
 enumeration), and the cycle-basis oracle enumerates every independent subset
 of all loops of the graph. `kuhn_bottleneck_value` keeps the earlier
 recursive-matching bottleneck as a differential oracle for the iterative one,
-and `smooth_degree_two` the earlier smoothing loop that decided `is_bouquet`.
+`pruned_hausdorff` the earlier Hausdorff that ran a full bottleneck for every
+pair it did not prune, and `smooth_degree_two` the earlier smoothing loop that
+decided `is_bouquet`.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ import math
 from itertools import combinations, permutations
 from typing import Iterable, List, Sequence, Tuple
 
-from graphdist import Edge, MetricGraph
-from graphdist.diagram_distances import Ground, resolve_ground
+import numpy as np
+
+from graphdist import Edge, MetricGraph, bottleneck_value
+from graphdist.diagram_distances import Ground, L1Ground, LinfGround, resolve_ground
 
 Point = Tuple[float, float]
 
@@ -128,6 +132,39 @@ def kuhn_bottleneck_value(pts1: Sequence[Point], pts2: Sequence[Point], ground="
         else:
             lo = mid + 1
     return ordered[lo]
+
+
+def _pruned_directed_hausdorff(from_diags, to_diags, gr: Ground) -> float:
+    if not isinstance(gr, (L1Ground, LinfGround)):
+        return max(min(bottleneck_value(da, db, gr) for db in to_diags) for da in from_diags)
+    width = max(1, *(len(d) for d in from_diags), *(len(d) for d in to_diags))
+
+    def profile(d):
+        prof = sorted((gr.to_diagonal(p) for p in d), reverse=True)
+        return prof + [0.0] * (width - len(prof))
+
+    pa = np.array([profile(d) for d in from_diags])
+    pb = np.array([profile(d) for d in to_diags])
+    lb = np.abs(pa[:, None, :] - pb[None, :, :]).max(axis=2)
+    answer = 0.0
+    for i in np.argsort(-lb.min(axis=1), kind="stable"):
+        best = math.inf
+        for j in np.argsort(lb[i]):
+            if best <= answer or lb[i, j] >= best:
+                break
+            best = min(best, bottleneck_value(from_diags[i], to_diags[j], gr))
+        if math.isfinite(best) and best > answer:
+            answer = best
+    return answer
+
+
+def pruned_hausdorff(s1: Sequence, s2: Sequence, ground="l1") -> float:
+    """Hausdorff-of-bottlenecks that skips a pair only by the diagonal-profile
+    bound (plane metrics only) and otherwise runs the full bottleneck."""
+    gr: Ground = resolve_ground(ground)
+    a = [[tuple(p) for p in d] for d in s1]
+    b = [[tuple(p) for p in d] for d in s2]
+    return max(_pruned_directed_hausdorff(a, b, gr), _pruned_directed_hausdorff(b, a, gr))
 
 
 def smooth_degree_two(g: MetricGraph) -> MetricGraph:

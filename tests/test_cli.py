@@ -244,6 +244,18 @@ def test_malformed_graph_json_exits_two_with_one_error_line(tmp_path, capsys, da
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "content", [b"\xff\xfe\x00", b"[" * 100_000], ids=["not-utf8", "deeply-nested"]
+)
+def test_undecodable_graph_file_exits_two_with_one_error_line(tmp_path, capsys, content):
+    path = tmp_path / "g.json"
+    path.write_bytes(content)
+    assert main(["loops", "--graph", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "Traceback" not in err[0]
+
+
 def test_dpd_tiny_delta_fails_fast(bouquet_path, capsys):
     start = time.perf_counter()
     code = main(["dpd", "--graph", bouquet_path, "--graph2", bouquet_path,

@@ -11,12 +11,20 @@ from graphdist import (
     NegativeValue,
     bottleneck,
     bottleneck_value,
+    bouquet,
     hausdorff_bottleneck,
+    random_metric_graph,
+    sample_phi,
     yaxis_bottleneck,
 )
-from graphdist.diagram_distances import Ground, L1Ground, resolve_ground
+from graphdist.diagram_distances import Ground, L1Ground, _bottleneck_value, resolve_ground
 
-from oracles import brute_bottleneck, brute_bottleneck_enum, kuhn_bottleneck_value
+from oracles import (
+    brute_bottleneck,
+    brute_bottleneck_enum,
+    kuhn_bottleneck_value,
+    pruned_hausdorff,
+)
 
 
 def random_diagram(rng, max_points=5, max_value=10.0):
@@ -253,7 +261,8 @@ def test_hausdorff_rejects_empty_sets():
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10**9))
 def test_hausdorff_pruned_equals_plain(seed):
-    # the pruning bound must never change the value
+    # the pruning must never change the value; both sides take the same
+    # candidate costs, so the match is exact
     rng = random.Random(seed)
     s1 = [random_diagram(rng, 3) for _ in range(rng.randint(1, 5))]
     s2 = [random_diagram(rng, 3) for _ in range(rng.randint(1, 5))]
@@ -262,7 +271,81 @@ def test_hausdorff_pruned_equals_plain(seed):
         max(min(brute_bottleneck(a, b, "l1") for b in s2) for a in s1),
         max(min(brute_bottleneck(a, b, "l1") for a in s1) for b in s2),
     )
-    assert fast == pytest.approx(plain, abs=1e-12)
+    assert fast == plain
+
+
+def _phi_sets(graphs, delta):
+    return [[d.pairs() for d in sample_phi(g, delta).diagrams()] for g in graphs]
+
+
+def test_hausdorff_bit_equal_to_pruned_full_bottleneck_path():
+    cases = []
+    for seed in range(4):
+        # generic lengths, then all lengths equal (many geodesic ties)
+        generic = [random_metric_graph(5, 8, (1.0, 2.0), seed=10 * seed + k, generic_epsilon=1e-3)
+                   for k in (1, 2)]
+        ties = [random_metric_graph(5, 8, (1.0, 1.0), seed=10 * seed + k) for k in (3, 4)]
+        cases += [_phi_sets(generic, 0.6), _phi_sets(ties, 0.5)]
+    # bouquets: most base points on one loop share a diagram, so ties at the
+    # window edges are the rule
+    cases.append(_phi_sets([bouquet([2.0, 3.0, 3.0]), bouquet([2.0, 2.5, 4.0])], 0.25))
+    cases.append(_phi_sets([bouquet([1.0, 1.0]), bouquet([1.0, 1.0, 1.0])], 0.25))
+    rng = random.Random(99)
+    for _ in range(6):
+        # mixed sizes, empty diagrams and repeated diagrams
+        pool = [[], *(random_diagram(rng, 6) for _ in range(5))]
+        cases.append([
+            [rng.choice(pool) for _ in range(rng.randint(1, 12))] for _ in range(2)
+        ])
+    for s1, s2 in cases:
+        for ground in ("l1", "linf", DeathGapGround()):
+            assert hausdorff_bottleneck(s1, s2, ground) == pruned_hausdorff(s1, s2, ground)
+
+
+def _matching_cost(pts1, pts2, gr, match_l):
+    """Cost of a perfect matching of the doubled graph given by its left side."""
+    n1, n2 = len(pts1), len(pts2)
+    assert sorted(match_l) == list(range(n1 + n2))
+    worst = 0.0
+    for i, w in enumerate(match_l[:n1]):
+        assert w < n2 or w == n2 + i
+        worst = max(worst, gr.dist(pts1[i], pts2[w]) if w < n2 else gr.to_diagonal(pts1[i]))
+    for j, w in enumerate(match_l[n1:]):
+        assert w >= n2 or w == j
+        if w < n2:
+            worst = max(worst, gr.to_diagonal(pts2[j]))
+    return worst
+
+
+def test_bottleneck_window_semantics():
+    rng = random.Random(4242)
+    inf = float("inf")
+    for trial in range(60):
+        gr = resolve_ground(("l1", "linf")[trial % 2]) if trial % 3 else DeathGapGround()
+        d1, d2 = random_diagram(rng, 5), random_diagram(rng, 5)
+        if trial % 4 == 0:
+            # integer coordinates: many equal costs
+            d1 = [(float(round(b)), float(round(d))) for b, d in d1]
+            d2 = [(float(round(b)), float(round(d))) for b, d in d2]
+        value = bottleneck_value(d1, d2, gr)
+        costs = sorted(
+            {0.0, *(gr.to_diagonal(x) for x in d1 + d2), *(gr.dist(x, y) for x in d1 for y in d2)}
+        )
+        k = costs.index(value)
+        edges = [-inf, inf, *costs[max(0, k - 2):k + 3], *rng.sample(costs, min(3, len(costs)))]
+        for floor in edges:
+            for ceil in edges:
+                if not floor < ceil:
+                    continue
+                got, match_l = _bottleneck_value(d1, d2, gr, floor, ceil)
+                if value >= ceil:
+                    assert got == inf and match_l == []
+                elif value <= floor:
+                    assert value <= got <= floor
+                    assert _matching_cost(d1, d2, gr, match_l) <= got
+                else:
+                    assert got == value
+                    assert _matching_cost(d1, d2, gr, match_l) == value
 
 
 # --------------------------------------------------------------- monotonicity
