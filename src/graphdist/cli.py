@@ -134,8 +134,6 @@ def _cmd_dic(args) -> int:
 
 def _cmd_dpd(args) -> int:
     g1, g2 = _load(args.graph), _load(args.graph2)
-    if not (args.delta > 0):
-        raise GraphError("--delta must be positive")
     phi1, phi2 = sample_phi(g1, args.delta), sample_phi(g2, args.delta)
     estimate, bound = persistence_distortion_from_samples(phi1, phi2, args.ground)
     payload = {
@@ -156,8 +154,6 @@ def _cmd_dpd(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.delta is not None and not (args.delta > 0):
-        raise GraphError("--delta must be positive")
     reports = run_verification(
         args.family,
         args.n,

@@ -106,9 +106,6 @@ class GeodesicField:
     interior_maxima: Mapping[str, Optional[Tuple[float, float]]]
     edge_parent: Mapping[str, str]
 
-    def value_at_vertex(self, vertex_id: str) -> float:
-        return self.vertex_values[vertex_id]
-
     def edge_max(self, edge_id: str) -> float:
         """Largest value of the function on the (closed) edge."""
         e = self.graph.edge_by_id[edge_id]

@@ -3,6 +3,7 @@ distortion (base-point sampling with a certified error bound)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Tuple, Union
 
@@ -53,8 +54,10 @@ MAX_SAMPLES = 100_000
 
 
 def sample_base_points(g: MetricGraph, delta: float) -> List[GraphPoint]:
-    if not (delta > 0):
-        raise GraphFormatError(f"delta must be positive, got {delta!r}")
+    if not (delta > 0 and math.isfinite(2.0 * delta)):
+        raise GraphFormatError(
+            f"delta must be positive with a finite bound 2*delta, got {delta!r}"
+        )
     points = [GraphPoint.at_vertex(v) for v in g.vertices]
     for e in g.edges:
         k = 1

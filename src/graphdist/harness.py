@@ -141,6 +141,8 @@ def run_verification(
         family = "bouquet"
     if family not in _FAMILY_TABLE:
         raise GraphError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    if n_instances < 1:
+        raise GraphError(f"need at least one instance, got {n_instances!r}")
     draw, check = _FAMILY_TABLE[family]
     reports = []
     for index in range(n_instances):

@@ -1,12 +1,14 @@
 """Extended persistence of geodesic distance functions, dimension 1.
 
-The filtration subdivides every edge at its interior maximum so the function
-is monotone per edge, runs the ascending lower-star pass, then cones the
-complex and adds the descending upper-star pass. Full boundary-matrix
-reduction over the two-element field extracts the pairs; the 1-dimensional
-extended pairs are the ones born at an ascending edge and killed by a cone
-triangle. Each output point is normalized to (low, high) and carries the
-input edge that holds its local maximum.
+Every edge is subdivided at its interior maximum, so the function is monotone
+per edge. Two union-find passes over the edges then give the pairing that
+the coned boundary matrix would. The ascending pass, by highest value, marks
+each edge that closes a cycle as a birth. The descending pass, by lowest
+value, labels each vertex with the births on its path to its root, so an
+edge that closes a cycle knows the cycle's homology class; reduced against
+the earlier classes by highest bit, it names the birth it kills. Each output
+point is normalized to (low, high) and carries the input edge that holds its
+local maximum.
 """
 
 from __future__ import annotations
@@ -58,9 +60,6 @@ class Diagram:
     def pairs(self) -> Tuple[Tuple[float, float], ...]:
         return tuple(p.pair() for p in self.points)
 
-    def persistences(self) -> Tuple[float, ...]:
-        return tuple(p.persistence for p in self.points)
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -81,153 +80,74 @@ class Diagram:
         ]
 
 
-@dataclass(frozen=True)
-class FilteredComplex:
-    """Ascending + coned descending filtration of a promoted, subdivided graph.
-
-    Simplices are ('v', vertex_id) / ('e', edge_id) in the ascending block and
-    ('cone_v', ''), ('cone_e', vertex_id), ('cone_t', edge_id) in the
-    descending block. Both blocks are totally ordered with faces first and
-    ties broken by id.
-    """
-
-    graph: MetricGraph
-    base_vertex: str
-    values: Dict[str, float]
-    edge_parent: Dict[str, str]
-    ascending: Tuple[Tuple[str, str], ...]
-    descending: Tuple[Tuple[str, str], ...]
-
-    def simplex_value(self, simplex: Tuple[str, str]) -> float:
-        kind, ref = simplex
-        if kind == "v" or kind == "cone_e":
-            return self.values[ref]
-        if kind == "e":
-            e = self.graph.edge_by_id[ref]
-            return max(self.values[e.u], self.values[e.v])
-        if kind == "cone_t":
-            e = self.graph.edge_by_id[ref]
-            return min(self.values[e.u], self.values[e.v])
-        return 0.0  # cone vertex
+def _find(parent: Dict[str, str], pot: Dict[str, int], x: str) -> Tuple[str, int]:
+    """Root of x and the XOR of the labels on its path; compresses the path."""
+    path = []
+    while parent[x] != x:
+        path.append(x)
+        x = parent[x]
+    acc = 0
+    for y in reversed(path):
+        acc ^= pot[y]
+        pot[y] = acc
+        parent[y] = x
+    return x, acc
 
 
-def build_filtration(g: MetricGraph, base: GraphPoint) -> FilteredComplex:
-    """Promote the base, subdivide at interior maxima, order the simplices."""
+def extended_persistence_1d(g: MetricGraph, base: GraphPoint) -> Diagram:
+    """1-dimensional extended persistence diagram of the distance-from-base map."""
     field = geodesic_field(g, base)
-    gp = field.graph
     cuts = [
         GraphPoint.on_edge(eid, m[0])
         for eid, m in field.interior_maxima.items()
         if m is not None
     ]
-    g2, _pmap, parent1 = subdivide(gp, cuts)
-    edge_parent = {eid: field.edge_parent[parent1[eid]] for eid in parent1}
-    values = dijkstra(g2, field.base_vertex)
+    g2, _pmap, parent1 = subdivide(field.graph, cuts)
+    f = dijkstra(g2, field.base_vertex)
+    top = {e.id: max(f[e.u], f[e.v]) for e in g2.edges}
+    bottom = {e.id: min(f[e.u], f[e.v]) for e in g2.edges}
 
-    ascending: List[Tuple[str, str]] = [("v", v) for v in g2.vertices]
-    ascending += [("e", e.id) for e in g2.edges]
-    asc_key = lambda s: (
-        (values[s[1]], 0, s[1])
-        if s[0] == "v"
-        else (
-            max(values[g2.edge_by_id[s[1]].u], values[g2.edge_by_id[s[1]].v]),
-            1,
-            s[1],
-        )
-    )
-    ascending.sort(key=asc_key)
-
-    descending: List[Tuple[str, str]] = [("cone_e", v) for v in g2.vertices]
-    descending += [("cone_t", e.id) for e in g2.edges]
-    desc_key = lambda s: (
-        (-values[s[1]], 1, s[1])
-        if s[0] == "cone_e"
-        else (
-            -min(values[g2.edge_by_id[s[1]].u], values[g2.edge_by_id[s[1]].v]),
-            2,
-            s[1],
-        )
-    )
-    descending.sort(key=desc_key)
-
-    return FilteredComplex(
-        graph=g2,
-        base_vertex=field.base_vertex,
-        values=values,
-        edge_parent=edge_parent,
-        ascending=tuple(ascending),
-        descending=tuple(descending),
-    )
-
-
-def _reduce_columns(columns: List[int]) -> Dict[int, int]:
-    """Left-to-right column reduction over GF(2); returns {birth: death}."""
-    lows: Dict[int, int] = {}
-    pairs: Dict[int, int] = {}
-    for j in range(len(columns)):
-        col = columns[j]
-        while col:
-            low = col.bit_length() - 1
-            k = lows.get(low)
-            if k is None:
-                break
-            col ^= columns[k]
-        columns[j] = col
-        if col:
-            low = col.bit_length() - 1
-            lows[low] = j
-            pairs[low] = j
-    return pairs
-
-
-def extended_persistence_1d(g: MetricGraph, base: GraphPoint) -> Diagram:
-    """1-dimensional extended persistence diagram of the distance-from-base map."""
-    fc = build_filtration(g, base)
-    g2 = fc.graph
-    order: List[Tuple[str, str]] = list(fc.ascending)
-    order.append(("cone_v", ""))
-    order.extend(fc.descending)
-    index = {s: i for i, s in enumerate(order)}
-
-    columns: List[int] = []
-    for s in order:
-        kind, ref = s
-        if kind in ("v", "cone_v"):
-            columns.append(0)
-        elif kind == "e":
-            e = g2.edge_by_id[ref]
-            columns.append((1 << index[("v", e.u)]) | (1 << index[("v", e.v)]))
-        elif kind == "cone_e":
-            columns.append((1 << index[("cone_v", "")]) | (1 << index[("v", ref)]))
-        else:  # cone triangle over an edge
-            e = g2.edge_by_id[ref]
-            columns.append(
-                (1 << index[("e", ref)])
-                | (1 << index[("cone_e", e.u)])
-                | (1 << index[("cone_e", e.v)])
-            )
-
-    pairs = _reduce_columns(columns)
-
-    points: List[DiagramPoint] = []
-    for i, j in pairs.items():
-        birth_s, death_s = order[i], order[j]
-        if birth_s[0] != "e" or death_s[0] != "cone_t":
-            continue
-        asc_value = fc.simplex_value(birth_s)
-        desc_value = fc.simplex_value(death_s)
-        lo, hi = min(asc_value, desc_value), max(asc_value, desc_value)
-        e_death = g2.edge_by_id[death_s[1]]
-        if fc.values[e_death.u] <= fc.values[e_death.v]:
-            paired = e_death.u
+    # Ascending pass: an edge whose ends are already joined is born, bit k.
+    parent = {v: v for v in g2.vertices}
+    pot = dict.fromkeys(g2.vertices, 0)
+    births: List[str] = []
+    bit: Dict[str, int] = {}
+    for e in sorted(g2.edges, key=lambda e: (top[e.id], e.id)):
+        ru, _ = _find(parent, pot, e.u)
+        rv, _ = _find(parent, pot, e.v)
+        if ru == rv:
+            bit[e.id] = 1 << len(births)
+            births.append(e.id)
         else:
-            paired = e_death.v
+            parent[ru] = rv
+
+    # Descending pass: each vertex holds the birth bits on its path to its
+    # root, so a cycle-closing edge knows its cycle's class; reduced by its
+    # highest bit, the class names the birth edge it kills.
+    parent = {v: v for v in g2.vertices}
+    pot = dict.fromkeys(g2.vertices, 0)
+    pivots: Dict[int, int] = {}
+    points: List[DiagramPoint] = []
+    for e in sorted(g2.edges, key=lambda e: (-bottom[e.id], e.id)):
+        ru, pu = _find(parent, pot, e.u)
+        rv, pv = _find(parent, pot, e.v)
+        z = pu ^ pv ^ bit.get(e.id, 0)
+        if ru != rv:
+            parent[ru] = rv
+            pot[ru] = z
+            continue
+        k = z.bit_length() - 1
+        while k in pivots:
+            z ^= pivots[k]
+            k = z.bit_length() - 1
+        pivots[k] = z
+        born, dies = top[births[k]], bottom[e.id]
         points.append(
             DiagramPoint(
-                birth=lo,
-                death=hi,
-                edge=fc.edge_parent[birth_s[1]],
-                paired_vertex=paired,
+                birth=min(born, dies),
+                death=max(born, dies),
+                edge=field.edge_parent[parent1[births[k]]],
+                paired_vertex=e.u if f[e.u] <= f[e.v] else e.v,
             )
         )
     return Diagram.of(points)

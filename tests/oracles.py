@@ -6,20 +6,27 @@ enumeration), and the cycle-basis oracle enumerates every independent subset
 of all loops of the graph. `kuhn_bottleneck_value` keeps the earlier
 recursive-matching bottleneck as a differential oracle for the iterative one,
 `pruned_hausdorff` the earlier Hausdorff that ran a full bottleneck for every
-pair it did not prune, and `smooth_degree_two` the earlier smoothing loop that
-decided `is_bouquet`.
+pair it did not prune, `smooth_degree_two` the earlier smoothing loop that
+decided `is_bouquet`, and `matrix_extended_persistence_1d` the earlier
+extended persistence by coned boundary-matrix reduction.
+`networkx_loop_lengths` takes the shortest loop lengths from networkx's
+minimum cycle basis.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
+import networkx as nx
 import numpy as np
 
-from graphdist import Edge, MetricGraph, bottleneck_value
+from graphdist import Diagram, DiagramPoint, Edge, GraphPoint, MetricGraph, bottleneck_value
 from graphdist.diagram_distances import Ground, L1Ground, LinfGround, resolve_ground
+from graphdist.geodesics import dijkstra, geodesic_field
+from graphdist.metric_graph import subdivide
 
 Point = Tuple[float, float]
 
@@ -167,6 +174,162 @@ def pruned_hausdorff(s1: Sequence, s2: Sequence, ground="l1") -> float:
     return max(_pruned_directed_hausdorff(a, b, gr), _pruned_directed_hausdorff(b, a, gr))
 
 
+@dataclass(frozen=True)
+class FilteredComplex:
+    """Ascending + coned descending filtration of a promoted, subdivided graph.
+
+    Simplices are ('v', vertex_id) / ('e', edge_id) in the ascending block and
+    ('cone_v', ''), ('cone_e', vertex_id), ('cone_t', edge_id) in the
+    descending block. Both blocks are totally ordered with faces first and
+    ties broken by id.
+    """
+
+    graph: MetricGraph
+    base_vertex: str
+    values: Dict[str, float]
+    edge_parent: Dict[str, str]
+    ascending: Tuple[Tuple[str, str], ...]
+    descending: Tuple[Tuple[str, str], ...]
+
+    def simplex_value(self, simplex: Tuple[str, str]) -> float:
+        kind, ref = simplex
+        if kind == "v" or kind == "cone_e":
+            return self.values[ref]
+        if kind == "e":
+            e = self.graph.edge_by_id[ref]
+            return max(self.values[e.u], self.values[e.v])
+        if kind == "cone_t":
+            e = self.graph.edge_by_id[ref]
+            return min(self.values[e.u], self.values[e.v])
+        return 0.0  # cone vertex
+
+
+def build_filtration(g: MetricGraph, base: GraphPoint) -> FilteredComplex:
+    """Promote the base, subdivide at interior maxima, order the simplices."""
+    field = geodesic_field(g, base)
+    gp = field.graph
+    cuts = [
+        GraphPoint.on_edge(eid, m[0])
+        for eid, m in field.interior_maxima.items()
+        if m is not None
+    ]
+    g2, _pmap, parent1 = subdivide(gp, cuts)
+    edge_parent = {eid: field.edge_parent[parent1[eid]] for eid in parent1}
+    values = dijkstra(g2, field.base_vertex)
+
+    ascending: List[Tuple[str, str]] = [("v", v) for v in g2.vertices]
+    ascending += [("e", e.id) for e in g2.edges]
+    asc_key = lambda s: (
+        (values[s[1]], 0, s[1])
+        if s[0] == "v"
+        else (
+            max(values[g2.edge_by_id[s[1]].u], values[g2.edge_by_id[s[1]].v]),
+            1,
+            s[1],
+        )
+    )
+    ascending.sort(key=asc_key)
+
+    descending: List[Tuple[str, str]] = [("cone_e", v) for v in g2.vertices]
+    descending += [("cone_t", e.id) for e in g2.edges]
+    desc_key = lambda s: (
+        (-values[s[1]], 1, s[1])
+        if s[0] == "cone_e"
+        else (
+            -min(values[g2.edge_by_id[s[1]].u], values[g2.edge_by_id[s[1]].v]),
+            2,
+            s[1],
+        )
+    )
+    descending.sort(key=desc_key)
+
+    return FilteredComplex(
+        graph=g2,
+        base_vertex=field.base_vertex,
+        values=values,
+        edge_parent=edge_parent,
+        ascending=tuple(ascending),
+        descending=tuple(descending),
+    )
+
+
+def _reduce_columns(columns: List[int]) -> Dict[int, int]:
+    """Left-to-right column reduction over GF(2); returns {birth: death}."""
+    lows: Dict[int, int] = {}
+    pairs: Dict[int, int] = {}
+    for j in range(len(columns)):
+        col = columns[j]
+        while col:
+            low = col.bit_length() - 1
+            k = lows.get(low)
+            if k is None:
+                break
+            col ^= columns[k]
+        columns[j] = col
+        if col:
+            low = col.bit_length() - 1
+            lows[low] = j
+            pairs[low] = j
+    return pairs
+
+
+def matrix_extended_persistence_1d(g: MetricGraph, base: GraphPoint) -> Diagram:
+    """The diagram by full GF(2) reduction of the coned boundary matrix.
+
+    The 1-dimensional extended pairs are the ones born at an ascending edge
+    and killed by a cone triangle.
+    """
+    fc = build_filtration(g, base)
+    g2 = fc.graph
+    order: List[Tuple[str, str]] = list(fc.ascending)
+    order.append(("cone_v", ""))
+    order.extend(fc.descending)
+    index = {s: i for i, s in enumerate(order)}
+
+    columns: List[int] = []
+    for s in order:
+        kind, ref = s
+        if kind in ("v", "cone_v"):
+            columns.append(0)
+        elif kind == "e":
+            e = g2.edge_by_id[ref]
+            columns.append((1 << index[("v", e.u)]) | (1 << index[("v", e.v)]))
+        elif kind == "cone_e":
+            columns.append((1 << index[("cone_v", "")]) | (1 << index[("v", ref)]))
+        else:  # cone triangle over an edge
+            e = g2.edge_by_id[ref]
+            columns.append(
+                (1 << index[("e", ref)])
+                | (1 << index[("cone_e", e.u)])
+                | (1 << index[("cone_e", e.v)])
+            )
+
+    pairs = _reduce_columns(columns)
+
+    points: List[DiagramPoint] = []
+    for i, j in pairs.items():
+        birth_s, death_s = order[i], order[j]
+        if birth_s[0] != "e" or death_s[0] != "cone_t":
+            continue
+        asc_value = fc.simplex_value(birth_s)
+        desc_value = fc.simplex_value(death_s)
+        lo, hi = min(asc_value, desc_value), max(asc_value, desc_value)
+        e_death = g2.edge_by_id[death_s[1]]
+        if fc.values[e_death.u] <= fc.values[e_death.v]:
+            paired = e_death.u
+        else:
+            paired = e_death.v
+        points.append(
+            DiagramPoint(
+                birth=lo,
+                death=hi,
+                edge=fc.edge_parent[birth_s[1]],
+                paired_vertex=paired,
+            )
+        )
+    return Diagram.of(points)
+
+
 def smooth_degree_two(g: MetricGraph) -> MetricGraph:
     """Merge the two edges at every loop-free degree-2 vertex (a geometric no-op)."""
     vertices = list(g.vertices)
@@ -245,6 +408,24 @@ def all_closed_walk_edge_sets(g: MetricGraph) -> List[Tuple[frozenset, float]]:
             )
         )
     return out
+
+
+def networkx_loop_lengths(g: MetricGraph) -> List[float]:
+    """Sorted lengths of a minimum cycle basis, from networkx.
+
+    Every edge is cut into three equal pieces first, which makes self-loops
+    and parallel edges simple cycles and changes no cycle's length.
+    """
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    for e in g.edges:
+        a, b = ("cut", e.id, 1), ("cut", e.id, 2)
+        nx.add_path(h, [e.u, a, b, e.v], weight=e.length / 3.0)
+    lengths = []
+    for cycle in nx.minimum_cycle_basis(h, weight="weight"):
+        steps = zip(cycle, cycle[1:] + cycle[:1])
+        lengths.append(sum(h[x][y]["weight"] for x, y in steps))
+    return sorted(lengths)
 
 
 def _rank(masks: Iterable[int]) -> int:

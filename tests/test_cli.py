@@ -273,3 +273,31 @@ def test_outputs_use_12_significant_digits(tmp_path, capsys):
     assert main(["loops", "--graph", str(path), "--format", "csv"]) == 0
     out = capsys.readouterr().out
     assert "0.333333333333," in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--family", "bouquet", "--n", "2", "--delta", "inf"],
+        ["dpd", "--graph", "{g}", "--graph2", "{g}", "--delta", "inf"],
+        ["dpd", "--graph", "{g}", "--graph2", "{g}", "--delta", "1e308"],
+    ],
+    ids=["verify-inf", "dpd-inf", "dpd-1e308"],
+)
+def test_delta_without_a_finite_bound_exits_two(bouquet_path, capsys, argv):
+    code = main([a.format(g=bouquet_path) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "delta" in err[0]
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_verify_without_instances_exits_two(capsys, n):
+    assert main(["verify", "--family", "bouquet", "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")

@@ -17,7 +17,7 @@ from graphdist import (
 )
 from graphdist.harness import random_base_point
 
-from oracles import brute_lex_min_length_sequence
+from oracles import brute_lex_min_length_sequence, networkx_loop_lengths
 
 
 def test_tree_has_empty_system():
@@ -162,3 +162,18 @@ def test_shortest_loop_max_value_is_at_least_half_length():
         for loop, length in zip(system.loops, system.lengths):
             _, hi, _, _ = cycle_metrics(g, loop, f)
             assert hi >= length / 2.0 - 1e-9
+
+
+def test_loop_lengths_match_networkx_minimum_cycle_basis():
+    # self-loops and parallel edges included; equal lengths give ties
+    checked = 0
+    for seed in range(60):
+        n = 1 + seed % 6
+        m = max(1, n - 1 + seed % 5)
+        length_range = (1.0, 1.0) if seed % 3 == 0 else (0.5, 2.0)
+        g = random_metric_graph(n, m, length_range, seed=seed)
+        expected = networkx_loop_lengths(g)
+        assert len(expected) == first_betti(g)
+        assert list(shortest_loop_system(g).lengths) == pytest.approx(expected, rel=1e-12)
+        checked += len(expected)
+    assert checked > 100

@@ -9,7 +9,6 @@ from graphdist import (
     TreeOfLoopsSpec,
     bottleneck_value,
     bouquet,
-    build_filtration,
     cycle_metrics,
     extended_persistence_1d,
     first_betti,
@@ -24,7 +23,11 @@ from graphdist import (
 )
 from graphdist.harness import random_base_point, random_tree_of_loops_spec
 
-from oracles import all_closed_walk_edge_sets
+from oracles import (
+    all_closed_walk_edge_sets,
+    build_filtration,
+    matrix_extended_persistence_1d,
+)
 
 
 def V(x):
@@ -165,6 +168,50 @@ def test_oracle_equivalence_random_specs():
             assert_multisets_close(
                 extended_persistence_1d(g, base), tree_of_loops_diagram(spec, base)
             )
+
+
+def _differential_cases():
+    """Graphs with many ties: generic and equal-length random multigraphs,
+    integer-length multigraphs with self-loops and parallel edges, bouquets
+    and trees of loops."""
+    rng = random.Random(17)
+    for seed in range(40):
+        n = 1 + seed % 5
+        m = max(1, n - 1 + seed % 4)
+        yield random_metric_graph(n, m, (0.5, 2.0), seed=seed, generic_epsilon=1e-3)
+        yield random_metric_graph(n, m, (1.0, 1.0), seed=seed)
+        names = [f"x{i}" for i in range(n)]
+        edges = [
+            (f"t{i}", names[rng.randrange(i)], names[i], float(rng.randint(1, 3)))
+            for i in range(1, n)
+        ]
+        edges += [
+            (f"c{k}", rng.choice(names), rng.choice(names), float(rng.randint(1, 3)))
+            for k in range(1 + seed % 4)
+        ]
+        yield MetricGraph.build(names, edges)
+        yield bouquet([float(rng.randint(1, 3)) for _ in range(1 + seed % 4)])
+        yield tree_of_loops_parts(random_tree_of_loops_spec(rng))[0]
+
+
+def test_union_find_pairing_bit_equal_to_matrix_oracle():
+    rng = random.Random(18)
+    n_points = 0
+    for g in _differential_cases():
+        bases = [V(v) for v in g.vertices]
+        for e in g.edges:
+            bases.append(GraphPoint.on_edge(e.id, e.length / 2.0))
+            bases.append(random_base_point(rng, g))
+        for base in bases:
+            got = extended_persistence_1d(g, base)
+            expected = matrix_extended_persistence_1d(g, base)
+            assert [
+                (p.birth, p.death, p.edge, p.paired_vertex) for p in got.points
+            ] == [
+                (p.birth, p.death, p.edge, p.paired_vertex) for p in expected.points
+            ], (g, base)
+            n_points += len(got)
+    assert n_points > 1000
 
 
 # ------------------------------------------------------- structural behavior
