@@ -6,14 +6,26 @@ stability checks. The optimum is found by searching the finite set of
 candidate thresholds (all point-to-point and point-to-diagonal costs) with a
 bipartite-matching feasibility test, so values are exact, never approximated.
 The search starts at a per-point bound: every point takes a partner or the
-diagonal, so no threshold below its cheapest option can be feasible.
+diagonal, so no threshold below its cheapest option can be feasible. Raising
+the threshold only adds edges, so each probe grows the matching of the last
+infeasible probe instead of starting empty.
+
+A pair with few point-to-point costs (fewer than _ARRAY_MIN_COSTS) is searched
+in Python lists, where numpy's per-call set-up would cost more than it saves.
+A larger pair keeps its costs, bound and candidate window in numpy arrays
+(Ground.cost_matrix; the plane grounds broadcast it with the IEEE operations
+of their dist, so every value is the same) and builds each probe's edges row
+by row.
 
 Inside the Hausdorff-of-bottlenecks, a pair matters only when its bottleneck
 lies strictly between the answer so far and its row's best, so each pair is
 asked about that window alone. The per-point bound or one matching settles
 most pairs (the value is at least the row's best, or at most the answer);
 only values inside the window are searched exactly (decision, then search,
-as in Efrat, Itai and Katz, 2001).
+as in Efrat, Itai and Katz, 2001). For the plane grounds a bound matrix,
+computed once in blocks over both sets stacked as arrays, holds for every
+pair the larger of the diagonal-profile bound and the per-point bound; it
+orders the rows and each row's scan, and ends rows early.
 """
 
 from __future__ import annotations
@@ -51,6 +63,23 @@ class Ground:
     def to_diagonal(self, x: Point) -> float:
         raise NotImplementedError
 
+    def cost_matrix(self, pts1, pts2) -> np.ndarray:
+        """Every cost dist(x, y) for x in pts1 and y in pts2, shape (n1, n2)."""
+        return np.array(
+            [[self.dist(x, y) for y in pts2] for x in pts1], dtype=float
+        ).reshape(len(pts1), len(pts2))
+
+
+def _abs_gaps(p: np.ndarray, q: np.ndarray, k: int) -> np.ndarray:
+    """|x[k] - y[k]| for every x in p and y in q, broadcast over leading axes."""
+    gap = p[..., :, None, k] - q[..., None, :, k]
+    return np.abs(gap, out=gap)
+
+
+def _plane_points(pts) -> np.ndarray:
+    a = np.asarray(pts, dtype=float)
+    return a if a.ndim > 1 else a.reshape(-1, 2)
+
 
 class L1Ground(Ground):
     name = "l1"
@@ -61,6 +90,17 @@ class L1Ground(Ground):
     def to_diagonal(self, x: Point) -> float:
         return x[1] - x[0]
 
+    def cost_matrix(self, pts1, pts2) -> np.ndarray:
+        """The costs of dist by the same IEEE operations, as a numpy broadcast.
+
+        Stacks broadcast too: shapes (..., n1, 2) and (..., n2, 2) give
+        (..., n1, n2).
+        """
+        p, q = _plane_points(pts1), _plane_points(pts2)
+        cost = _abs_gaps(p, q, 0)
+        cost += _abs_gaps(p, q, 1)
+        return cost
+
 
 class LinfGround(Ground):
     name = "linf"
@@ -70,6 +110,12 @@ class LinfGround(Ground):
 
     def to_diagonal(self, x: Point) -> float:
         return (x[1] - x[0]) / 2.0
+
+    def cost_matrix(self, pts1, pts2) -> np.ndarray:
+        """As L1Ground.cost_matrix, for the sup metric."""
+        p, q = _plane_points(pts1), _plane_points(pts2)
+        cost = _abs_gaps(p, q, 0)
+        return np.maximum(cost, _abs_gaps(p, q, 1), out=cost)
 
 
 _GROUNDS = {"l1": L1Ground(), "linf": LinfGround()}
@@ -110,7 +156,7 @@ def _as_pairs(diagram) -> List[Point]:
 
 
 def max_matching(
-    adj: List[List[int]], n_right: int
+    adj: List[List[int]], n_right: int, start: Optional[List[int]] = None
 ) -> Tuple[int, List[int], List[int]]:
     """Maximum bipartite matching by augmenting paths, without recursion.
 
@@ -118,11 +164,17 @@ def max_matching(
     depth-first search on explicit stacks from every free left vertex; a right
     vertex visited in a phase stays visited until the phase ends, so one phase
     costs O(V + E). Phases repeat until one finds no augmenting path.
-    Returns (size, match_of_left, match_of_right) with -1 for unmatched.
+    start, a matching of left to right vertices (-1 for unmatched) that uses
+    only edges of adj, is grown instead of the empty matching; it is not
+    modified. Returns (size, match_of_left, match_of_right) with -1 for
+    unmatched.
     """
-    match_l = [-1] * len(adj)
+    match_l = [-1] * len(adj) if start is None else list(start)
     match_r = [-1] * n_right
-    size, before = 0, -1
+    for u, w in enumerate(match_l):
+        if w != -1:
+            match_r[w] = u
+    size, before = len(match_l) - match_l.count(-1), -1
     while size != before:
         before = size
         seen = [False] * n_right
@@ -156,6 +208,50 @@ def max_matching(
     return size, match_l, match_r
 
 
+#: A pair with fewer point-to-point costs than this stays in Python lists:
+#: numpy's per-call set-up costs more than it saves on such small matrices.
+_ARRAY_MIN_COSTS = 256
+
+
+def _list_window(pts1, pts2, gr, diag1, diag2, ub):
+    """Per-point bound, sorted candidates in [lb, ub] and edges at a threshold,
+    in Python lists."""
+    cost = [[gr.dist(x, y) for y in pts2] for x in pts1]
+    row_min = [min(row, default=math.inf) for row in cost]
+    col_min = [min(col) for col in zip(*cost)] if pts1 else [math.inf] * len(pts2)
+    lb = max(map(min, diag1 + diag2, row_min + col_min), default=0.0)
+    # distinct candidates by sorting, not by a set: a set of the n1*n2 costs
+    # takes more memory than the cost matrix itself
+    everything = itertools.chain([0.0], diag1, diag2, *cost)
+    ordered = [
+        c for c, _ in itertools.groupby(sorted(c for c in everything if lb <= c <= ub))
+    ]
+
+    def edges(lam: float) -> List[List[int]]:
+        return [[j for j, c in enumerate(row) if c <= lam] for row in cost]
+
+    return lb, ordered, edges
+
+
+def _array_window(pts1, pts2, gr, diag1, diag2, ub):
+    """As _list_window, with the costs, the bound and the candidates kept in
+    numpy arrays; the edges are built row by row over one shared list of ints,
+    so no probe turns every edge into a new int object."""
+    cost = gr.cost_matrix(pts1, pts2)
+    d1, d2 = np.array(diag1), np.array(diag2)
+    lb = float(max(
+        np.minimum(cost.min(axis=1), d1).max(), np.minimum(cost.min(axis=0), d2).max()
+    ))
+    extra = [c for c in itertools.chain([0.0], diag1, diag2) if lb <= c <= ub]
+    ordered = np.unique(np.concatenate((cost[(lb <= cost) & (cost <= ub)], extra)))
+    ints = list(range(len(pts2)))
+
+    def edges(lam: float) -> List[List[int]]:
+        return [list(itertools.compress(ints, row.tolist())) for row in cost <= lam]
+
+    return lb, ordered, edges
+
+
 def _bottleneck_value(
     pts1: List[Point],
     pts2: List[Point],
@@ -177,36 +273,36 @@ def _bottleneck_value(
     doubled bipartite graph. Left side: pts1 then a diagonal copy per point of
     pts2; right side: pts2 then a diagonal copy per point of pts1. A point may
     retire to its own diagonal copy when its diagonal cost is within the
-    threshold; diagonal copies pair with each other for free.
+    threshold; diagonal copies pair with each other for free. Raising the
+    threshold only adds edges, so each probe grows the matching of the last
+    infeasible probe, which always lies below it.
     """
     n1, n2 = len(pts1), len(pts2)
-    cost = [[gr.dist(x, y) for y in pts2] for x in pts1]
     diag1 = [gr.to_diagonal(x) for x in pts1]
     diag2 = [gr.to_diagonal(y) for y in pts2]
-    row_min = [min(row, default=math.inf) for row in cost]
-    col_min = [min(col) for col in zip(*cost)] if n1 else [math.inf] * n2
-    lb = max(map(min, diag1 + diag2, row_min + col_min), default=0.0)
+    ub = max(diag1 + diag2, default=0.0)
+    window = _list_window if n1 * n2 < _ARRAY_MIN_COSTS else _array_window
+    lb, ordered, edges = window(pts1, pts2, gr, diag1, diag2, ub)
     if lb >= ceil:
         return math.inf, []
-    ub = max(diag1 + diag2, default=0.0)
-    # distinct candidates by sorting, not by a set: a set of the n1*n2 costs
-    # takes more memory than the cost matrix itself
-    everything = itertools.chain([0.0], diag1, diag2, *cost)
-    ordered = [
-        c for c, _ in itertools.groupby(sorted(c for c in everything if lb <= c <= ub))
-    ]
     # shared by every diagonal-copy row; max_matching only reads adj
     diag_copies = list(range(n2, n2 + n1))
+    warm: Optional[List[int]] = None
 
     def probe(lam: float) -> Optional[List[int]]:
-        adj = [[j for j, c in enumerate(row) if c <= lam] for row in cost]
+        nonlocal warm
+        lam = float(lam)
+        adj = edges(lam)
         for i, d in enumerate(diag1):
             if d <= lam:
                 adj[i].append(n2 + i)
         for j, d in enumerate(diag2):
             adj.append([j, *diag_copies] if d <= lam else diag_copies)
-        size, match_l, _ = max_matching(adj, n1 + n2)
-        return match_l if size == n1 + n2 else None
+        size, match_l, _ = max_matching(adj, n1 + n2, warm)
+        if size == n1 + n2:
+            return match_l
+        warm = match_l
+        return None
 
     # the largest candidate below ceil; ub is feasible, every point retiring
     lo, hi = 0, bisect.bisect_left(ordered, ceil) - 1
@@ -219,11 +315,11 @@ def _bottleneck_value(
     # the largest candidate at most floor decides whether the value is there
     below = bisect.bisect_right(ordered, floor) - 1
     if below == hi:
-        return ordered[hi], match_l
+        return float(ordered[hi]), match_l
     if below >= 0:
         probe_l = probe(ordered[below])
         if probe_l is not None:
-            return ordered[below], probe_l
+            return float(ordered[below]), probe_l
         lo = below + 1
     while lo < hi:
         mid = (lo + hi) // 2
@@ -232,7 +328,7 @@ def _bottleneck_value(
             hi, match_l = mid, probe_l
         else:
             lo = mid + 1
-    return ordered[lo], match_l
+    return float(ordered[lo]), match_l
 
 
 def bottleneck(
@@ -277,14 +373,61 @@ def yaxis_bottleneck(a: Sequence[float], b: Sequence[float]) -> float:
     return max((abs(x - y) for x, y in zip(av, bv)), default=0.0)
 
 
-def _diag_profile(pts: List[Point], gr: Ground, width: int) -> List[float]:
-    prof = sorted((gr.to_diagonal(p) for p in pts), reverse=True)
-    prof += [0.0] * (width - len(prof))
-    return prof
+#: The bound matrix is computed in blocks of about this many point-to-point
+#: costs, so its transient arrays stay small next to the process.
+_BLOCK_COSTS = 20_000
+
+
+def _bound_matrix(a: List[List[Point]], b: List[List[Point]], gr: Ground) -> np.ndarray:
+    """A lower bound on the bottleneck of every pair (a[i], b[j]), for the
+    plane metrics.
+
+    Each entry is the larger of two bounds. The aligned diagonal-cost profiles
+    bound every bottleneck from below (the y-axis closed form applied to the
+    1-Lipschitz diagonal-cost functional). The per-point bound of
+    _bottleneck_value is each point's cheapest option, a partner or the
+    diagonal. Both sides are stacked into (N, width, 2) arrays, short diagrams
+    padded with the diagonal point (0, 0): by the triangle inequality no point
+    is closer to it than to the diagonal, so the padding moves neither bound.
+    """
+    width = max(1, *map(len, a), *map(len, b))
+
+    def stack(diags):
+        pts = np.zeros((len(diags), width, 2))
+        diag = np.zeros((len(diags), width))
+        for k, d in enumerate(diags):
+            if d:
+                pts[k, : len(d)] = d
+                diag[k, : len(d)] = [gr.to_diagonal(p) for p in d]
+        return pts, diag
+
+    (pa, da), (pb, db) = stack(a), stack(b)
+    # profiles sorted in descending order
+    fa, fb = -np.sort(-da, axis=1), -np.sort(-db, axis=1)
+    # The profile bound holds in exact arithmetic; rounding in the diagonal
+    # costs, their differences and the candidate costs can put it a few ulps
+    # of the largest diagonal cost above a computed bottleneck, so it gives
+    # up that much. The per-point bound takes the very costs of the search.
+    slack = 16 * np.finfo(float).eps * max(da.max(), db.max())
+    per_pair = width * width
+    cols = max(1, min(len(b), _BLOCK_COSTS // per_pair))
+    rows = max(1, _BLOCK_COSTS // (cols * per_pair))
+    bound = np.empty((len(a), len(b)))
+    for r in range(0, len(a), rows):
+        for c in range(0, len(b), cols):
+            R, C = slice(r, r + rows), slice(c, c + cols)
+            cost = gr.cost_matrix(pa[R, None], pb[None, C])
+            point = np.maximum(
+                np.minimum(cost.min(axis=3), da[R, None, :]).max(axis=2),
+                np.minimum(cost.min(axis=2), db[None, C, :]).max(axis=2),
+            )
+            profile = np.abs(fa[R, None, :] - fb[None, C, :]).max(axis=2) - slack
+            bound[R, C] = np.maximum(point, profile)
+    return bound
 
 
 def _directed_hausdorff(
-    from_diags: List[List[Point]], to_diags: List[List[Point]], gr: Ground
+    from_diags: List[List[Point]], to_diags: List[List[Point]], gr: Ground, bound: np.ndarray
 ) -> float:
     """sup over from_diags of inf over to_diags of the bottleneck distance.
 
@@ -293,32 +436,20 @@ def _directed_hausdorff(
     evaluated in that window: one matching proves it too large (the
     per-point bound often proves it with none), one proves the row cannot
     raise the answer, and only values inside the window are searched exactly.
-    For the plane metrics, aligned diagonal-cost profiles also bound every
-    pairwise bottleneck from below (the y-axis closed form applied to the
-    1-Lipschitz diagonal-cost functional); the bound orders the scan and ends
-    a row early. Other grounds scan with an all-zero bound. Every value kept
-    is an exact candidate cost, so the result equals the unpruned one.
+    bound[i, j] is a lower bound on the bottleneck of the pair (i, j); it
+    orders the rows and each row's scan, and ends a row early. Every value
+    kept is an exact candidate cost, so the result equals the unpruned one.
     """
-    if isinstance(gr, (L1Ground, LinfGround)):
-        width = max(
-            max((len(d) for d in from_diags), default=0),
-            max((len(d) for d in to_diags), default=0),
-            1,
-        )
-        pa = np.array([_diag_profile(d, gr, width) for d in from_diags])
-        pb = np.array([_diag_profile(d, gr, width) for d in to_diags])
-        lb = np.abs(pa[:, None, :] - pb[None, :, :]).max(axis=2)
-    else:
-        lb = np.zeros((len(from_diags), len(to_diags)))
-    scan_order = np.argsort(lb, axis=1)
-    row_order = np.argsort(-lb.min(axis=1), kind="stable")
+    scan_order = np.argsort(bound, axis=1)
+    row_order = np.argsort(-bound.min(axis=1), kind="stable")
 
     answer = 0.0
-    for i in row_order:
+    for i in row_order.tolist():
         da = from_diags[i]
+        row = bound[i].tolist()
         best = math.inf
-        for j in scan_order[i]:
-            if best <= answer or lb[i, j] >= best:
+        for j in scan_order[i].tolist():
+            if best <= answer or row[j] >= best:
                 break
             value, _ = _bottleneck_value(da, to_diags[j], gr, answer, best)
             if value < best:
@@ -337,5 +468,9 @@ def hausdorff_bottleneck(
     gr = resolve_ground(ground)
     a = [_as_pairs(d) for d in s1]
     b = [_as_pairs(d) for d in s2]
-    return max(_directed_hausdorff(a, b, gr), _directed_hausdorff(b, a, gr))
-
+    if isinstance(gr, (L1Ground, LinfGround)):
+        bound = _bound_matrix(a, b, gr)
+    else:
+        # other grounds scan with an all-zero bound
+        bound = np.zeros((len(a), len(b)))
+    return max(_directed_hausdorff(a, b, gr, bound), _directed_hausdorff(b, a, gr, bound.T))

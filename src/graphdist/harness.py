@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import replace
 from typing import List, Optional, Tuple
@@ -143,6 +144,8 @@ def run_verification(
         raise GraphError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if n_instances < 1:
         raise GraphError(f"need at least one instance, got {n_instances!r}")
+    if not math.isfinite(corrupt_dic):
+        raise GraphError(f"corrupt_dic must be finite, got {corrupt_dic!r}")
     draw, check = _FAMILY_TABLE[family]
     reports = []
     for index in range(n_instances):

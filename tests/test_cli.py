@@ -301,3 +301,13 @@ def test_verify_without_instances_exits_two(capsys, n):
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_verify_non_finite_corrupt_dic_exits_two(capsys, value):
+    code = main(["verify", "--family", "bouquet", "--n", "1", "--corrupt-dic", value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")

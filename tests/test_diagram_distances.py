@@ -1,4 +1,6 @@
+import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +19,17 @@ from graphdist import (
     sample_phi,
     yaxis_bottleneck,
 )
-from graphdist.diagram_distances import Ground, L1Ground, _bottleneck_value, resolve_ground
+from graphdist import diagram_distances
+from graphdist.diagram_distances import (
+    _ARRAY_MIN_COSTS,
+    Ground,
+    L1Ground,
+    LinfGround,
+    _bottleneck_value,
+    _bound_matrix,
+    max_matching,
+    resolve_ground,
+)
 
 from oracles import (
     brute_bottleneck,
@@ -196,6 +208,23 @@ def test_bottleneck_600_points_is_certified():
     assert (match >= 0).sum() < 2 * n
 
 
+def test_bottleneck_600_points_peak_memory():
+    # a cost matrix of Python floats, or every edge of a probe turned into new
+    # ints at once, takes the peak past 20 MB on this pair
+    rng = np.random.default_rng(600)
+    a, b = [], []
+    for diagram in (a, b):
+        birth = rng.uniform(0.0, 10.0, 600)
+        diagram.extend((float(x), float(y)) for x, y in zip(birth, birth + rng.exponential(2.0, 600)))
+    tracemalloc.start()
+    try:
+        bottleneck(a, b, "l1")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 15e6
+
+
 # --------------------------------------------------------------------- y-axis
 
 
@@ -302,6 +331,55 @@ def test_hausdorff_bit_equal_to_pruned_full_bottleneck_path():
             assert hausdorff_bottleneck(s1, s2, ground) == pruned_hausdorff(s1, s2, ground)
 
 
+def _ragged_sets(rng):
+    """Sets mixing empty diagrams with diagrams on both sides of the
+    list/array split, and repeated diagrams."""
+    side = math.isqrt(_ARRAY_MIN_COSTS)
+    pool = [[], *(exp_diagram(rng, rng.randint(1, 2 * side)) for _ in range(5))]
+    return [[rng.choice(pool) for _ in range(rng.randint(1, 8))] for _ in range(2)]
+
+
+def _pad(diagrams, rng):
+    """The same diagrams with points on the diagonal added, which changes no
+    bottleneck distance."""
+    out = []
+    for d in diagrams:
+        t = [rng.choice([0.0, rng.uniform(0, 12)]) for _ in range(rng.randint(0, 4))]
+        out.append(d + [(x, x) for x in t])
+    return out
+
+
+def test_hausdorff_bit_equal_on_ragged_and_padded_sets():
+    rng = random.Random(606)
+    for _ in range(6):
+        s1, s2 = _ragged_sets(rng)
+        p1, p2 = _pad(s1, rng), _pad(s2, rng)
+        for ground in ("l1", "linf", DeathGapGround()):
+            value = hausdorff_bottleneck(s1, s2, ground)
+            assert value == pruned_hausdorff(s1, s2, ground)
+            assert hausdorff_bottleneck(p1, p2, ground) == value
+            assert hausdorff_bottleneck(p1, s2, ground) == pruned_hausdorff(p1, s2, ground)
+
+
+def test_bound_matrix_is_below_every_bottleneck(monkeypatch):
+    rng = random.Random(2718)
+    generic = [random_metric_graph(6, 9, (1.0, 2.0), seed=k, generic_epsilon=1e-3) for k in (5, 6)]
+    cases = [_phi_sets(generic, 0.6), _phi_sets([bouquet([2.0, 3.0, 3.0]), bouquet([2.0, 2.5])], 0.5)]
+    cases += [_ragged_sets(rng) for _ in range(3)]
+    cases += [[_pad(s, rng) for s in _ragged_sets(rng)]]
+    for s1, s2 in cases:
+        for gr in (L1Ground(), LinfGround()):
+            bound = _bound_matrix(s1, s2, gr)
+            assert bound.shape == (len(s1), len(s2))
+            for i, a in enumerate(s1):
+                for j, b in enumerate(s2):
+                    assert bound[i, j] <= bottleneck_value(a, b, gr)
+            # tiny blocks split rows and columns; the entries stay the same
+            monkeypatch.setattr(diagram_distances, "_BLOCK_COSTS", 7)
+            assert (_bound_matrix(s1, s2, gr) == bound).all()
+            monkeypatch.undo()
+
+
 def _matching_cost(pts1, pts2, gr, match_l):
     """Cost of a perfect matching of the doubled graph given by its left side."""
     n1, n2 = len(pts1), len(pts2)
@@ -317,9 +395,32 @@ def _matching_cost(pts1, pts2, gr, match_l):
     return worst
 
 
+def _check_window(d1, d2, gr, rng):
+    """_bottleneck_value in windows drawn from the pair's own candidate costs."""
+    inf = float("inf")
+    value = bottleneck_value(d1, d2, gr)
+    costs = sorted(
+        {0.0, *(gr.to_diagonal(x) for x in d1 + d2), *(gr.dist(x, y) for x in d1 for y in d2)}
+    )
+    k = costs.index(value)
+    edges = [-inf, inf, *costs[max(0, k - 2):k + 3], *rng.sample(costs, min(3, len(costs)))]
+    for floor in edges:
+        for ceil in edges:
+            if not floor < ceil:
+                continue
+            got, match_l = _bottleneck_value(d1, d2, gr, floor, ceil)
+            if value >= ceil:
+                assert got == inf and match_l == []
+            elif value <= floor:
+                assert value <= got <= floor
+                assert _matching_cost(d1, d2, gr, match_l) <= got
+            else:
+                assert got == value
+                assert _matching_cost(d1, d2, gr, match_l) == value
+
+
 def test_bottleneck_window_semantics():
     rng = random.Random(4242)
-    inf = float("inf")
     for trial in range(60):
         gr = resolve_ground(("l1", "linf")[trial % 2]) if trial % 3 else DeathGapGround()
         d1, d2 = random_diagram(rng, 5), random_diagram(rng, 5)
@@ -327,25 +428,79 @@ def test_bottleneck_window_semantics():
             # integer coordinates: many equal costs
             d1 = [(float(round(b)), float(round(d))) for b, d in d1]
             d2 = [(float(round(b)), float(round(d))) for b, d in d2]
-        value = bottleneck_value(d1, d2, gr)
-        costs = sorted(
-            {0.0, *(gr.to_diagonal(x) for x in d1 + d2), *(gr.dist(x, y) for x in d1 for y in d2)}
-        )
-        k = costs.index(value)
-        edges = [-inf, inf, *costs[max(0, k - 2):k + 3], *rng.sample(costs, min(3, len(costs)))]
-        for floor in edges:
-            for ceil in edges:
-                if not floor < ceil:
-                    continue
-                got, match_l = _bottleneck_value(d1, d2, gr, floor, ceil)
-                if value >= ceil:
-                    assert got == inf and match_l == []
-                elif value <= floor:
-                    assert value <= got <= floor
-                    assert _matching_cost(d1, d2, gr, match_l) <= got
-                else:
-                    assert got == value
-                    assert _matching_cost(d1, d2, gr, match_l) == value
+        _check_window(d1, d2, gr, rng)
+
+
+# ------------------------------------------------- list and array kernel paths
+
+
+def _sizes_around_the_split():
+    """(n1, n2) pairs just below, at and above _ARRAY_MIN_COSTS, plus thin ones."""
+    limit = _ARRAY_MIN_COSTS
+    side = math.isqrt(limit)
+    return [
+        (side, (limit - 1) // side), (side, side + (limit % side > 0)), (side + 3, side + 2),
+        (1, limit - 1), (1, limit), (limit, 1), (3, limit // 3 + 1), (2 * side, side - 1),
+    ]
+
+
+def test_cost_matrix_equals_the_dist_loop():
+    rng = random.Random(17)
+    for gr in (L1Ground(), LinfGround()):
+        for n1, n2 in [(0, 0), (0, 4), (5, 0), (1, 1), (7, 9), (30, 20)]:
+            d1, d2 = exp_diagram(rng, n1), exp_diagram(rng, n2)
+            got = gr.cost_matrix(d1, d2)
+            want = Ground.cost_matrix(gr, d1, d2)
+            assert got.shape == want.shape == (n1, n2)
+            assert (got == want).all()
+        # stacks broadcast over their leading axes
+        a = np.array([exp_diagram(rng, 4) for _ in range(3)])
+        b = np.array([exp_diagram(rng, 5) for _ in range(2)])
+        stacked = gr.cost_matrix(a[:, None], b[None, :])
+        assert stacked.shape == (3, 2, 4, 5)
+        for i in range(3):
+            for j in range(2):
+                assert (stacked[i, j] == Ground.cost_matrix(gr, a[i].tolist(), b[j].tolist())).all()
+
+
+def test_list_and_array_paths_equal_kuhn_oracle():
+    rng = random.Random(31337)
+    for n1, n2 in _sizes_around_the_split():
+        for ground in ("l1", "linf", DeathGapGround()):
+            gr = resolve_ground(ground)
+            d1, d2 = exp_diagram(rng, n1), exp_diagram(rng, n2)
+            grid1 = [(float(round(b)), float(round(d))) for b, d in d1]
+            grid2 = [(float(round(b)), float(round(d))) for b, d in d2]
+            # generic costs, then integer coordinates with many equal costs
+            for p, q in ((d1, d2), (grid1, grid2)):
+                value, matching = bottleneck(p, q, gr)
+                assert value == kuhn_bottleneck_value(p, q, gr)
+                assert matching_cost(matching, gr) == value == matching.cost
+            _check_window(d1, d2, gr, rng)
+
+
+def test_warm_started_matching_reaches_cold_size():
+    rng = random.Random(8)
+    for trial in range(300):
+        n_left, n_right = rng.randint(0, 30), rng.randint(0, 30)
+        p = rng.choice([0.05, 0.15, 0.4])
+        adj = [[w for w in range(n_right) if rng.random() < p] for _ in range(n_left)]
+        # a random valid matching: edges taken greedily in random order
+        start, taken = [-1] * n_left, set()
+        edges = [(u, w) for u, row in enumerate(adj) for w in row]
+        rng.shuffle(edges)
+        for u, w in edges[: rng.randint(0, len(edges))]:
+            if start[u] == -1 and w not in taken:
+                start[u] = w
+                taken.add(w)
+        before = list(start)
+        size, match_l, match_r = max_matching(adj, n_right, start)
+        assert start == before
+        assert size == max_matching(adj, n_right)[0]
+        assert size == sum(w != -1 for w in match_l)
+        for u, w in enumerate(match_l):
+            if w != -1:
+                assert w in adj[u] and match_r[w] == u
 
 
 # --------------------------------------------------------------- monotonicity
