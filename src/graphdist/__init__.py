@@ -7,7 +7,7 @@ machinery to verify that the first is at most half the second on bouquet and
 tree-of-loops inputs.
 """
 
-from .cycles import LoopSystem, cycle_metrics, first_betti, shortest_loop_system
+from .cycles import LoopSystem, first_betti, shortest_loop_system
 from .diagram_distances import (
     DIAGONAL,
     Ground,
@@ -30,19 +30,13 @@ from .errors import (
     NotABouquet,
     NotAClosedWalk,
     NotTreeOfLoops,
-    SizeMismatch,
     SpecNotTreeOfLoops,
 )
 from .feasibility import (
-    FeasibilityGraph,
-    HallWitness,
     Report,
-    build_feasibility_graph,
     compare_arbitrary,
-    in_feasible_region,
     is_bouquet,
     is_tree_of_loops,
-    perfect_matching,
     verify_bouquet_inequality,
     verify_tree_of_loops_inequality,
 )
@@ -54,14 +48,7 @@ from .generators import (
     tree_of_loops,
     tree_of_loops_parts,
 )
-from .geodesics import (
-    GeodesicField,
-    ShortestPathTree,
-    dijkstra,
-    geodesic_distance,
-    geodesic_field,
-    shortest_path_tree,
-)
+from .geodesics import GeodesicField, dijkstra, geodesic_distance, geodesic_field
 from .graph_distances import (
     SampledPhi,
     intrinsic_cech_diagram,
@@ -71,7 +58,7 @@ from .graph_distances import (
     sample_base_points,
     sample_phi,
 )
-from .harness import pick_delta, random_generic_instance, run_verification
+from .harness import pick_delta, run_verification
 from .metric_graph import (
     Edge,
     GraphPoint,
@@ -85,12 +72,7 @@ from .metric_graph import (
     to_json_dict,
     validate,
 )
-from .persistence import (
-    Diagram,
-    DiagramPoint,
-    extended_persistence_1d,
-    tree_of_loops_diagram,
-)
+from .persistence import Diagram, DiagramPoint, extended_persistence_1d
 
 __version__ = "0.1.0"
 
@@ -101,13 +83,11 @@ __all__ = [
     "Disconnected",
     "Edge",
     "EmptySet",
-    "FeasibilityGraph",
     "GeodesicField",
     "GraphError",
     "GraphFormatError",
     "GraphPoint",
     "Ground",
-    "HallWitness",
     "InvalidPoint",
     "L1Ground",
     "LinfGround",
@@ -121,16 +101,12 @@ __all__ = [
     "NotTreeOfLoops",
     "Report",
     "SampledPhi",
-    "ShortestPathTree",
-    "SizeMismatch",
     "SpecNotTreeOfLoops",
     "TreeOfLoopsSpec",
     "bottleneck",
     "bottleneck_value",
     "bouquet",
-    "build_feasibility_graph",
     "compare_arbitrary",
-    "cycle_metrics",
     "dijkstra",
     "extended_persistence_1d",
     "first_betti",
@@ -138,7 +114,6 @@ __all__ = [
     "geodesic_distance",
     "geodesic_field",
     "hausdorff_bottleneck",
-    "in_feasible_region",
     "intrinsic_cech_diagram",
     "intrinsic_cech_distance",
     "is_bouquet",
@@ -146,23 +121,19 @@ __all__ = [
     "load_graph",
     "named",
     "parse_point",
-    "perfect_matching",
     "persistence_distortion",
     "persistence_distortion_from_samples",
     "perturb_to_generic",
     "pick_delta",
-    "random_generic_instance",
     "random_metric_graph",
     "run_verification",
     "sample_base_points",
     "sample_phi",
     "save_graph",
     "shortest_loop_system",
-    "shortest_path_tree",
     "subdivide",
     "to_json_dict",
     "tree_of_loops",
-    "tree_of_loops_diagram",
     "tree_of_loops_parts",
     "validate",
     "yaxis_bottleneck",

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from .errors import NotAClosedWalk
-from .geodesics import GeodesicField, shortest_path_tree
-from .metric_graph import GraphPoint, MetricGraph
+from .geodesics import dijkstra
+from .metric_graph import MetricGraph
 
 Loop = Tuple[Tuple[str, int], ...]  # (edge id, +1 for u->v, -1 for v->u)
 
@@ -83,6 +83,27 @@ def _walk_of_cycle(g: MetricGraph, edge_ids: FrozenSet[str]) -> Loop:
     return tuple(walk)
 
 
+def _parent_edges(g: MetricGraph, root: str) -> Dict[str, str]:
+    """Shortest path tree from vertex `root`, as each other vertex's parent edge.
+
+    Among the edges that realize a vertex's distance exactly, the lowest edge
+    id becomes the parent, so ties break the same way from every root.
+    """
+    dist = dijkstra(g, root)
+    parent: Dict[str, str] = {}
+    for w in g.vertices:
+        if w == root:
+            continue
+        dw, best = dist[w], None
+        for e in g.adjacency[w]:
+            # a self-loop (e.u == e.v) never realizes a distance
+            if e.u != e.v and dist[e.other(w)] + e.length == dw:
+                if best is None or e.id < best:
+                    best = e.id
+        parent[w] = best
+    return parent
+
+
 def shortest_loop_system(g: MetricGraph) -> LoopSystem:
     """Compute the minimum-weight cycle basis; trees give the empty system."""
     n = first_betti(g)
@@ -91,8 +112,8 @@ def shortest_loop_system(g: MetricGraph) -> LoopSystem:
 
     candidates: Dict[FrozenSet[str], float] = {}
     for root in g.vertices:
-        spt = shortest_path_tree(g, GraphPoint.at_vertex(root))
-        path_edges: Dict[str, FrozenSet[str]] = {spt.root_vertex: frozenset()}
+        parent_edge = _parent_edges(g, root)
+        path_edges: Dict[str, FrozenSet[str]] = {root: frozenset()}
 
         def path_of(x: str) -> FrozenSet[str]:
             if x in path_edges:
@@ -101,11 +122,11 @@ def shortest_loop_system(g: MetricGraph) -> LoopSystem:
             y = x
             while y not in path_edges:
                 chain.append(y)
-                eid = spt.parent_edge[y]
+                eid = parent_edge[y]
                 y = g.edge_by_id[eid].other(y)
             acc = set(path_edges[y])
             for z in reversed(chain):
-                eid = spt.parent_edge[z]
+                eid = parent_edge[z]
                 acc.symmetric_difference_update((eid,))
                 path_edges[z] = frozenset(acc)
             return path_edges[x]
@@ -143,66 +164,3 @@ def shortest_loop_system(g: MetricGraph) -> LoopSystem:
         if len(loops) == n:
             break
     return LoopSystem(tuple(loops), tuple(lengths))
-
-
-def _cycle_edge_ids(cycle) -> List[str]:
-    ids = []
-    for item in cycle:
-        if isinstance(item, str):
-            ids.append(item)
-        else:
-            ids.append(item[0])
-    return ids
-
-
-def cycle_metrics(
-    g: MetricGraph, cycle: Sequence, field: GeodesicField
-) -> Tuple[float, float, float, float]:
-    """(length, highest value, lowest value, height) of `field` on a closed walk.
-
-    `cycle` is a sequence of edge ids of `g` (orientations optional); the
-    field may live on a promoted/subdivided copy of `g`, mapped back through
-    its `edge_parent` table. Interior maxima count toward the highest value.
-    """
-    ids = _cycle_edge_ids(cycle)
-    _check_closed_walk(g, ids)
-    id_set = set(ids)
-    children = [
-        e.id for e in field.graph.edges if field.edge_parent[e.id] in id_set
-    ]
-    length = math.fsum(g.edge_by_id[i].length for i in ids)
-    highest = max(field.edge_max(c) for c in children)
-    lowest = min(field.edge_min(c) for c in children)
-    return length, highest, lowest, highest - lowest
-
-
-def _check_closed_walk(g: MetricGraph, edge_ids: Sequence[str]) -> None:
-    if not edge_ids:
-        raise NotAClosedWalk("empty edge sequence")
-    degree: Dict[str, int] = {}
-    for eid in edge_ids:
-        e = g.edge_by_id.get(eid)
-        if e is None:
-            raise NotAClosedWalk(f"unknown edge {eid!r}")
-        if e.is_self_loop:
-            degree[e.u] = degree.get(e.u, 0) + 2
-        else:
-            degree[e.u] = degree.get(e.u, 0) + 1
-            degree[e.v] = degree.get(e.v, 0) + 1
-    if any(d % 2 for d in degree.values()):
-        raise NotAClosedWalk("odd vertex degree; not a closed walk")
-    # connectivity of the traversed subgraph
-    used = set(edge_ids)
-    start = next(iter(degree))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for e in g.adjacency[x]:
-            if e.id in used:
-                y = e.other(x)
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-    if seen != set(degree):
-        raise NotAClosedWalk("edge set is not connected; not a closed walk")

@@ -42,10 +42,6 @@ class EmptySet(GraphError):
     """An operation over sets of diagrams received an empty set."""
 
 
-class SizeMismatch(GraphError):
-    """Left and right sides of a feasibility graph have different cardinality."""
-
-
 class NotABouquet(GraphError):
     """The graph is not a bouquet after smoothing degree-2 chains."""
 

@@ -42,21 +42,6 @@ def dijkstra(g: MetricGraph, source: str) -> Dict[str, float]:
     return dist
 
 
-def promote_base(
-    g: MetricGraph, base: GraphPoint
-) -> Tuple[MetricGraph, str, Mapping[str, str]]:
-    """Make the base point a graph vertex.
-
-    Returns (promoted graph, base vertex id, new edge id -> original edge id).
-    A vertex base leaves the graph untouched.
-    """
-    p = base.normalized(g)
-    if p.is_vertex:
-        return g, p.vertex, {e.id: e.id for e in g.edges}
-    g2, point_map, parent = subdivide(g, [p])
-    return g2, point_map[p], parent
-
-
 def geodesic_distance(g: MetricGraph, p: GraphPoint, q: GraphPoint) -> float:
     """Length of a shortest path between two realization points.
 
@@ -106,25 +91,18 @@ class GeodesicField:
     interior_maxima: Mapping[str, Optional[Tuple[float, float]]]
     edge_parent: Mapping[str, str]
 
-    def edge_max(self, edge_id: str) -> float:
-        """Largest value of the function on the (closed) edge."""
-        e = self.graph.edge_by_id[edge_id]
-        m = self.interior_maxima[edge_id]
-        hi = max(self.vertex_values[e.u], self.vertex_values[e.v])
-        return max(hi, m[1]) if m is not None else hi
-
-    def edge_min(self, edge_id: str) -> float:
-        """Smallest value on the edge; the function has no interior minima."""
-        e = self.graph.edge_by_id[edge_id]
-        return min(self.vertex_values[e.u], self.vertex_values[e.v])
-
 
 def geodesic_field(g: MetricGraph, base: GraphPoint) -> GeodesicField:
     """Evaluate the geodesic distance function from `base`.
 
     An interior base is promoted to a vertex first.
     """
-    g2, base_vertex, parent = promote_base(g, base)
+    p = base.normalized(g)
+    if p.is_vertex:
+        g2, base_vertex, parent = g, p.vertex, {e.id: e.id for e in g.edges}
+    else:
+        g2, point_map, parent = subdivide(g, [p])
+        base_vertex = point_map[p]
     values = dijkstra(g2, base_vertex)
     maxima: Dict[str, Optional[Tuple[float, float]]] = {}
     for e in g2.edges:
@@ -141,55 +119,4 @@ def geodesic_field(g: MetricGraph, base: GraphPoint) -> GeodesicField:
         vertex_values=values,
         interior_maxima=maxima,
         edge_parent=parent,
-    )
-
-
-@dataclass(frozen=True)
-class ShortestPathTree:
-    root: GraphPoint
-    graph: MetricGraph
-    root_vertex: str
-    tree_edges: frozenset
-    parent_edge: Mapping[str, str]
-    distances: Mapping[str, float]
-    generic: bool
-
-
-def shortest_path_tree(g: MetricGraph, base: GraphPoint) -> ShortestPathTree:
-    """Shortest path tree from the (promoted) base with deterministic ties.
-
-    Among edges realizing a vertex's distance exactly, the lowest edge id
-    becomes the parent. The `generic` flag is False when some vertex is
-    reached by two shortest paths agreeing within the graph's tie tolerance.
-    """
-    g2, root, _parent_map = promote_base(g, base)
-    dist = dijkstra(g2, root)
-    tol = g2.tie_tolerance()
-    parent_edge: Dict[str, str] = {}
-    generic = True
-    for w in g2.vertices:
-        if w == root:
-            continue
-        achieving = []
-        near = 0
-        for e in g2.adjacency[w]:
-            if e.is_self_loop:
-                continue
-            u = e.other(w)
-            through = dist[u] + e.length
-            if through == dist[w]:
-                achieving.append(e.id)
-            if abs(through - dist[w]) <= tol:
-                near += 1
-        if near >= 2:
-            generic = False
-        parent_edge[w] = min(achieving)
-    return ShortestPathTree(
-        root=base,
-        graph=g2,
-        root_vertex=root,
-        tree_edges=frozenset(parent_edge.values()),
-        parent_edge=parent_edge,
-        distances=dist,
-        generic=generic,
     )

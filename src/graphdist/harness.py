@@ -17,8 +17,7 @@ from .feasibility import (
     Report,
 )
 from .generators import TreeOfLoopsSpec, bouquet, random_metric_graph, tree_of_loops
-from .geodesics import shortest_path_tree
-from .metric_graph import GraphPoint, MetricGraph
+from .metric_graph import MetricGraph
 
 
 def _instance_seed(seed: int, index: int) -> int:
@@ -52,28 +51,6 @@ def random_arbitrary_graph(
     return random_metric_graph(
         n, n - 1 + extra, (1.0, 2.0), seed=rng.randrange(2**32), generic_epsilon=1e-3
     )
-
-
-def random_base_point(rng: random.Random, g: MetricGraph) -> GraphPoint:
-    choices = len(g.vertices) + len(g.edges)
-    pick = rng.randrange(choices)
-    if pick < len(g.vertices):
-        return GraphPoint.at_vertex(g.vertices[pick])
-    e = g.edges[pick - len(g.vertices)]
-    return GraphPoint.on_edge(e.id, rng.uniform(0.05, 0.95) * e.length)
-
-
-def random_generic_instance(
-    seed: int, min_extra: int = 1, max_extra: int = 3
-) -> Tuple[MetricGraph, GraphPoint]:
-    """A connected generic (graph, base) pair; reseeds until ties disappear."""
-    for attempt in range(64):
-        rng = random.Random(_instance_seed(seed, attempt * 7919))
-        g = random_arbitrary_graph(rng, min_extra, max_extra)
-        base = random_base_point(rng, g)
-        if shortest_path_tree(g, base).generic:
-            return g, base
-    raise GraphError(f"no generic instance found for seed {seed}")
 
 
 def pick_delta(graphs: Tuple[MetricGraph, ...], fraction: float = 0.05) -> float:

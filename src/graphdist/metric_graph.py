@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Container, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     Disconnected,
@@ -20,10 +20,6 @@ from .errors import (
     InvalidPoint,
     NonPositiveLength,
 )
-
-#: Relative tolerance used when two path lengths count as tied.
-TIE_RTOL = 1e-9
-
 
 @dataclass(frozen=True)
 class Edge:
@@ -107,9 +103,6 @@ class MetricGraph:
         for e in self.adjacency[vertex]:
             d += 2 if e.is_self_loop else 1
         return d
-
-    def tie_tolerance(self) -> float:
-        return TIE_RTOL * self.total_length
 
 
 @dataclass(frozen=True)
@@ -195,6 +188,16 @@ def _component_of(g: MetricGraph, start: str) -> set:
     return seen
 
 
+def _fresh_id(name: str, old: Container[str], new: Container[str]) -> str:
+    """`name`, or else `name~k` for the smallest k >= 1, that is in neither
+    `old` nor `new`."""
+    fresh, k = name, 0
+    while fresh in old or fresh in new:
+        k += 1
+        fresh = f"{name}~{k}"
+    return fresh
+
+
 def subdivide(
     g: MetricGraph, points: Sequence[GraphPoint]
 ) -> Tuple[MetricGraph, Mapping[GraphPoint, str], Mapping[str, str]]:
@@ -202,7 +205,10 @@ def subdivide(
 
     Returns (new graph, point -> new vertex id, new edge id -> original edge id).
     Geodesic distances are preserved exactly. Points already at vertices map to
-    themselves; duplicate interior points collapse to one vertex.
+    themselves; duplicate interior points collapse to one vertex. A cut on
+    edge e at offset t becomes vertex 'e@t' and splits e into 'e#0', 'e#1',
+    ...; a name that is already taken, in g or earlier in the call, gives way
+    to 'e@@t' for a vertex and then to the first free '~k' suffix.
     """
     by_edge: dict = {}
     mapping: dict = {}
@@ -213,6 +219,7 @@ def subdivide(
         else:
             by_edge.setdefault(q.edge, set()).add(q.offset)
 
+    minted: set = set()
     new_vertices = list(g.vertices)
     new_edges = []
     parent: dict = {}
@@ -225,8 +232,9 @@ def subdivide(
         cut_ids = []
         for off in cuts:
             vid = f"{e.id}@{off:.12g}"
-            if vid in g.adjacency:
-                vid = f"{e.id}@@{off:.12g}"
+            if vid in g.adjacency or vid in minted:
+                vid = _fresh_id(f"{e.id}@@{off:.12g}", g.adjacency, minted)
+            minted.add(vid)
             new_vertices.append(vid)
             cut_ids.append(vid)
             for p in points:
@@ -237,6 +245,10 @@ def subdivide(
         for k in range(len(stops) - 1):
             (a_off, a_id), (b_off, b_id) = stops[k], stops[k + 1]
             seg_id = f"{e.id}#{k}"
+            # Pieces of two split edges never share an id, so only an edge
+            # kept whole can hold this one.
+            if seg_id in g.edge_by_id and seg_id not in by_edge:
+                seg_id = _fresh_id(seg_id, g.edge_by_id, parent)
             new_edges.append(Edge(seg_id, a_id, b_id, b_off - a_off))
             parent[seg_id] = e.id
     out = MetricGraph(tuple(new_vertices), tuple(new_edges))

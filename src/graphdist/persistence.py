@@ -18,7 +18,7 @@ import io
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .geodesics import dijkstra, geodesic_distance, geodesic_field
+from .geodesics import dijkstra, geodesic_field
 from .metric_graph import GraphPoint, MetricGraph, subdivide
 
 
@@ -150,26 +150,4 @@ def extended_persistence_1d(g: MetricGraph, base: GraphPoint) -> Diagram:
                 paired_vertex=e.u if f[e.u] <= f[e.v] else e.v,
             )
         )
-    return Diagram.of(points)
-
-
-def tree_of_loops_diagram(spec, base: GraphPoint) -> Diagram:
-    """Closed-form diagram for a tree of loops: one point (p_i, p_i + t_i) per loop.
-
-    p_i is the geodesic distance from the base to the loop (zero on the loop
-    itself), t_i half the loop length. Oracle counterpart of
-    extended_persistence_1d on this family.
-    """
-    from .generators import tree_of_loops_parts  # deferred; generators has no deps on us
-
-    g, loops = tree_of_loops_parts(spec)
-    b = base.normalized(g)
-    points = []
-    for edge_id, junction, length in loops:
-        t = length / 2.0
-        if not b.is_vertex and b.edge == edge_id:
-            p = 0.0
-        else:
-            p = geodesic_distance(g, b, GraphPoint.at_vertex(junction))
-        points.append(DiagramPoint(birth=p, death=p + t, edge=edge_id))
     return Diagram.of(points)

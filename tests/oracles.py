@@ -11,21 +11,43 @@ decided `is_bouquet`, and `matrix_extended_persistence_1d` the earlier
 extended persistence by coned boundary-matrix reduction.
 `networkx_loop_lengths` takes the shortest loop lengths from networkx's
 minimum cycle basis.
+
+The rest are checkers of the paper's lemmas and fixtures that only tests use:
+the feasible-region matching of a computed diagram to the ideal diagram
+{(0, s_i)} with its Hall witness, `cycle_metrics` (length and height of the
+distance function on a loop), the closed-form `tree_of_loops_diagram`, the
+tie-aware `shortest_path_tree` whose parents `cycles._parent_edges` must
+reproduce, and the seeded `random_generic_instance`.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import networkx as nx
 import numpy as np
 
-from graphdist import Diagram, DiagramPoint, Edge, GraphPoint, MetricGraph, bottleneck_value
-from graphdist.diagram_distances import Ground, L1Ground, LinfGround, resolve_ground
-from graphdist.geodesics import dijkstra, geodesic_field
+from graphdist import (
+    Diagram,
+    DiagramPoint,
+    Edge,
+    GraphError,
+    GraphPoint,
+    Matching,
+    MetricGraph,
+    NotAClosedWalk,
+    bottleneck_value,
+    geodesic_distance,
+    tree_of_loops_parts,
+)
+from graphdist.cycles import LoopSystem
+from graphdist.diagram_distances import Ground, L1Ground, LinfGround, max_matching, resolve_ground
+from graphdist.geodesics import GeodesicField, dijkstra, geodesic_field
+from graphdist.harness import _instance_seed, random_arbitrary_graph
 from graphdist.metric_graph import subdivide
 
 Point = Tuple[float, float]
@@ -152,7 +174,10 @@ def _pruned_directed_hausdorff(from_diags, to_diags, gr: Ground) -> float:
 
     pa = np.array([profile(d) for d in from_diags])
     pb = np.array([profile(d) for d in to_diags])
-    lb = np.abs(pa[:, None, :] - pb[None, :, :]).max(axis=2)
+    # the slack of diagram_distances._bound_matrix: in floats the profile
+    # bound can sit an ulp above a computed bottleneck
+    slack = 16 * np.finfo(float).eps * max(pa.max(), pb.max())
+    lb = np.abs(pa[:, None, :] - pb[None, :, :]).max(axis=2) - slack
     answer = 0.0
     for i in np.argsort(-lb.min(axis=1), kind="stable"):
         best = math.inf
@@ -483,3 +508,283 @@ def hall_condition_holds(adjacency: List[List[int]]) -> bool:
         if len(neighbors) < len(members):
             return False
     return True
+
+
+class SizeMismatch(GraphError):
+    """Left and right sides of a feasibility graph have different cardinality."""
+
+
+def in_feasible_region(z: Point, s: float, tol: float = 0.0) -> bool:
+    """Exact membership in {0 <= z1 <= z2, s <= z2 <= z1 + s}, boundaries closed."""
+    z1, z2 = z
+    return (
+        z1 >= -tol
+        and z2 >= z1 - tol
+        and z2 >= s - tol
+        and z2 <= z1 + s + tol
+    )
+
+
+@dataclass(frozen=True)
+class FeasibilityGraph:
+    """Bipartite graph: left = ideal points (0, s_i), right = diagram points."""
+
+    s_values: Tuple[float, ...]
+    points: Tuple[Point, ...]
+    edges: Tuple[Tuple[int, int], ...]
+
+    def adjacency(self) -> List[List[int]]:
+        adj: List[List[int]] = [[] for _ in self.s_values]
+        for i, j in self.edges:
+            adj[i].append(j)
+        return adj
+
+
+@dataclass(frozen=True)
+class HallWitness:
+    """A left subset with strictly fewer neighbors than members."""
+
+    left_indices: Tuple[int, ...]
+    s_values: Tuple[float, ...]
+    neighbor_indices: Tuple[int, ...]
+
+
+def build_feasibility_graph(
+    system: LoopSystem, diagram: Diagram, tol: Optional[float] = None
+) -> FeasibilityGraph:
+    """Edges by feasible-region membership; sizes must agree."""
+    s_values = system.half_lengths
+    points = diagram.pairs()
+    if len(s_values) != len(points):
+        raise SizeMismatch(
+            f"ideal diagram has {len(s_values)} points, computed has {len(points)}"
+        )
+    if tol is None:
+        scale = max([1.0, *s_values, *(p[1] for p in points)])
+        tol = 1e-9 * scale
+    edges = tuple(
+        (i, j)
+        for i, s in enumerate(s_values)
+        for j, z in enumerate(points)
+        if in_feasible_region(z, s, tol)
+    )
+    return FeasibilityGraph(s_values=s_values, points=points, edges=edges)
+
+
+def perfect_matching(fg: FeasibilityGraph) -> Union[Matching, HallWitness]:
+    """Maximum matching by augmenting paths; Hall witness when not perfect.
+
+    The witness is read off the final alternating-reachability sets from an
+    unmatched left vertex.
+    """
+    n = len(fg.s_values)
+    adj = fg.adjacency()
+    _, match_l, match_r = max_matching(adj, len(fg.points))
+
+    free = [u for u in range(n) if match_l[u] == -1]
+    if free:
+        u0 = free[0]
+        reach_l = {u0}
+        reach_r: set = set()
+        frontier = [u0]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for w in adj[u]:
+                    if w not in reach_r:
+                        reach_r.add(w)
+                        mu = match_r[w]
+                        if mu != -1 and mu not in reach_l:
+                            reach_l.add(mu)
+                            nxt.append(mu)
+            frontier = nxt
+        left = tuple(sorted(reach_l))
+        return HallWitness(
+            left_indices=left,
+            s_values=tuple(fg.s_values[i] for i in left),
+            neighbor_indices=tuple(sorted(reach_r)),
+        )
+
+    ground = L1Ground()
+    pairs = tuple(
+        ((0.0, fg.s_values[u]), fg.points[match_l[u]]) for u in range(n)
+    )
+    cost = max(
+        (ground.dist(a, b) for a, b in pairs), default=0.0
+    )
+    return Matching(pairs=pairs, cost=cost)
+
+
+def _edge_max(field: GeodesicField, edge_id: str) -> float:
+    """Largest value of the function on the (closed) edge."""
+    e = field.graph.edge_by_id[edge_id]
+    m = field.interior_maxima[edge_id]
+    hi = max(field.vertex_values[e.u], field.vertex_values[e.v])
+    return max(hi, m[1]) if m is not None else hi
+
+
+def _edge_min(field: GeodesicField, edge_id: str) -> float:
+    """Smallest value on the edge; the function has no interior minima."""
+    e = field.graph.edge_by_id[edge_id]
+    return min(field.vertex_values[e.u], field.vertex_values[e.v])
+
+
+def _cycle_edge_ids(cycle) -> List[str]:
+    ids = []
+    for item in cycle:
+        if isinstance(item, str):
+            ids.append(item)
+        else:
+            ids.append(item[0])
+    return ids
+
+
+def cycle_metrics(
+    g: MetricGraph, cycle: Sequence, field: GeodesicField
+) -> Tuple[float, float, float, float]:
+    """(length, highest value, lowest value, height) of `field` on a closed walk.
+
+    `cycle` is a sequence of edge ids of `g` (orientations optional); the
+    field may live on a promoted/subdivided copy of `g`, mapped back through
+    its `edge_parent` table. Interior maxima count toward the highest value.
+    """
+    ids = _cycle_edge_ids(cycle)
+    _check_closed_walk(g, ids)
+    id_set = set(ids)
+    children = [
+        e.id for e in field.graph.edges if field.edge_parent[e.id] in id_set
+    ]
+    length = math.fsum(g.edge_by_id[i].length for i in ids)
+    highest = max(_edge_max(field, c) for c in children)
+    lowest = min(_edge_min(field, c) for c in children)
+    return length, highest, lowest, highest - lowest
+
+
+def _check_closed_walk(g: MetricGraph, edge_ids: Sequence[str]) -> None:
+    if not edge_ids:
+        raise NotAClosedWalk("empty edge sequence")
+    degree: Dict[str, int] = {}
+    for eid in edge_ids:
+        e = g.edge_by_id.get(eid)
+        if e is None:
+            raise NotAClosedWalk(f"unknown edge {eid!r}")
+        if e.is_self_loop:
+            degree[e.u] = degree.get(e.u, 0) + 2
+        else:
+            degree[e.u] = degree.get(e.u, 0) + 1
+            degree[e.v] = degree.get(e.v, 0) + 1
+    if any(d % 2 for d in degree.values()):
+        raise NotAClosedWalk("odd vertex degree; not a closed walk")
+    # connectivity of the traversed subgraph
+    used = set(edge_ids)
+    start = next(iter(degree))
+    seen = {start}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for e in g.adjacency[x]:
+            if e.id in used:
+                y = e.other(x)
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    if seen != set(degree):
+        raise NotAClosedWalk("edge set is not connected; not a closed walk")
+
+
+def tree_of_loops_diagram(spec, base: GraphPoint) -> Diagram:
+    """Closed-form diagram for a tree of loops: one point (p_i, p_i + t_i) per loop.
+
+    p_i is the geodesic distance from the base to the loop (zero on the loop
+    itself), t_i half the loop length. Oracle counterpart of
+    extended_persistence_1d on this family.
+    """
+    g, loops = tree_of_loops_parts(spec)
+    b = base.normalized(g)
+    points = []
+    for edge_id, junction, length in loops:
+        t = length / 2.0
+        if not b.is_vertex and b.edge == edge_id:
+            p = 0.0
+        else:
+            p = geodesic_distance(g, b, GraphPoint.at_vertex(junction))
+        points.append(DiagramPoint(birth=p, death=p + t, edge=edge_id))
+    return Diagram.of(points)
+
+
+#: Relative tolerance used when two path lengths count as tied.
+TIE_RTOL = 1e-9
+
+
+@dataclass(frozen=True)
+class ShortestPathTree:
+    root: GraphPoint
+    graph: MetricGraph
+    root_vertex: str
+    tree_edges: frozenset
+    parent_edge: Mapping[str, str]
+    distances: Mapping[str, float]
+    generic: bool
+
+
+def shortest_path_tree(g: MetricGraph, base: GraphPoint) -> ShortestPathTree:
+    """Shortest path tree from the (promoted) base with deterministic ties.
+
+    Among edges realizing a vertex's distance exactly, the lowest edge id
+    becomes the parent. The `generic` flag is False when some vertex is
+    reached by two shortest paths agreeing within TIE_RTOL of the graph's
+    total length.
+    """
+    field = geodesic_field(g, base)
+    g2, root, dist = field.graph, field.base_vertex, field.vertex_values
+    tol = TIE_RTOL * g2.total_length
+    parent_edge: Dict[str, str] = {}
+    generic = True
+    for w in g2.vertices:
+        if w == root:
+            continue
+        achieving = []
+        near = 0
+        for e in g2.adjacency[w]:
+            if e.is_self_loop:
+                continue
+            u = e.other(w)
+            through = dist[u] + e.length
+            if through == dist[w]:
+                achieving.append(e.id)
+            if abs(through - dist[w]) <= tol:
+                near += 1
+        if near >= 2:
+            generic = False
+        parent_edge[w] = min(achieving)
+    return ShortestPathTree(
+        root=base,
+        graph=g2,
+        root_vertex=root,
+        tree_edges=frozenset(parent_edge.values()),
+        parent_edge=parent_edge,
+        distances=dist,
+        generic=generic,
+    )
+
+
+def random_base_point(rng: random.Random, g: MetricGraph) -> GraphPoint:
+    choices = len(g.vertices) + len(g.edges)
+    pick = rng.randrange(choices)
+    if pick < len(g.vertices):
+        return GraphPoint.at_vertex(g.vertices[pick])
+    e = g.edges[pick - len(g.vertices)]
+    return GraphPoint.on_edge(e.id, rng.uniform(0.05, 0.95) * e.length)
+
+
+def random_generic_instance(
+    seed: int, min_extra: int = 1, max_extra: int = 3
+) -> Tuple[MetricGraph, GraphPoint]:
+    """A connected generic (graph, base) pair; reseeds until ties disappear."""
+    for attempt in range(64):
+        rng = random.Random(_instance_seed(seed, attempt * 7919))
+        g = random_arbitrary_graph(rng, min_extra, max_extra)
+        base = random_base_point(rng, g)
+        if shortest_path_tree(g, base).generic:
+            return g, base
+    raise GraphError(f"no generic instance found for seed {seed}")

@@ -9,31 +9,36 @@ import random
 
 from graphdist import (
     GraphPoint,
-    HallWitness,
     bottleneck_value,
     bouquet,
-    build_feasibility_graph,
-    cycle_metrics,
     extended_persistence_1d,
     first_betti,
     geodesic_distance,
     geodesic_field,
-    in_feasible_region,
     intrinsic_cech_diagram,
     intrinsic_cech_distance,
-    perfect_matching,
-    random_generic_instance,
     random_metric_graph,
     run_verification,
     shortest_loop_system,
-    tree_of_loops_diagram,
     tree_of_loops_parts,
     yaxis_bottleneck,
 )
 from graphdist.cli import main as cli_main
-from graphdist.harness import random_base_point, random_tree_of_loops_spec
+from graphdist.harness import random_tree_of_loops_spec
 
-from oracles import brute_bottleneck, hall_condition_holds, ideal_replacement_no_worse
+from oracles import (
+    HallWitness,
+    brute_bottleneck,
+    build_feasibility_graph,
+    cycle_metrics,
+    hall_condition_holds,
+    ideal_replacement_no_worse,
+    in_feasible_region,
+    perfect_matching,
+    random_base_point,
+    random_generic_instance,
+    tree_of_loops_diagram,
+)
 
 
 def _report(criterion: str) -> None:

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from graphdist import bouquet, load_graph, named, save_graph
+from graphdist import MetricGraph, bouquet, load_graph, named, save_graph
 from graphdist.cli import main
 
 
@@ -311,3 +311,49 @@ def test_verify_non_finite_corrupt_dic_exits_two(capsys, value):
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_graph_with_split_style_edge_ids_does_not_hang(tmp_path):
+    # Splitting x at the base mints the pieces x#0 and x#1, which this graph
+    # already uses as edge ids; the commands must still finish and agree
+    # with a copy whose ids cannot collide.
+    import os
+    import subprocess
+    import sys
+
+    import graphdist
+
+    lengths = {"x": 1.0, "x#0": 1.7, "x#1": 2.3}
+    renamed = {"x": "a", "x#0": "b", "x#1": "c"}
+    for name, ids in (("clash", {e: e for e in lengths}), ("plain", renamed)):
+        save_graph(
+            MetricGraph.build(
+                ["u", "v"], [(ids[e], "u", "v", length) for e, length in lengths.items()]
+            ),
+            str(tmp_path / f"{name}.json"),
+        )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(graphdist.__file__))
+
+    def run(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "graphdist", *argv],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def rows(name, base):
+        out = run("diagram", "--graph", str(tmp_path / f"{name}.json"), "--base", base)
+        return sorted(line.split(",") for line in out.splitlines()[1:])
+
+    back = {new: old for old, new in renamed.items()}
+    plain = [[b, d, back[e]] for b, d, e in rows("plain", "a@0.3")]
+    assert rows("clash", "x@0.3") == sorted(plain)
+    assert len(plain) == 2
+
+    out = run(
+        "dpd", "--graph", str(tmp_path / "clash.json"),
+        "--graph2", str(tmp_path / "plain.json"), "--delta", "0.5",
+    )
+    assert json.loads(out)["dpd_estimate"] == 0.0

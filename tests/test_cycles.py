@@ -8,16 +8,23 @@ from graphdist import (
     MetricGraph,
     NotAClosedWalk,
     bouquet,
-    cycle_metrics,
     first_betti,
     geodesic_field,
     named,
     random_metric_graph,
     shortest_loop_system,
+    tree_of_loops,
 )
-from graphdist.harness import random_base_point
+from graphdist.cycles import _parent_edges
+from graphdist.harness import random_tree_of_loops_spec
 
-from oracles import brute_lex_min_length_sequence, networkx_loop_lengths
+from oracles import (
+    brute_lex_min_length_sequence,
+    cycle_metrics,
+    networkx_loop_lengths,
+    random_base_point,
+    shortest_path_tree,
+)
 
 
 def test_tree_has_empty_system():
@@ -177,3 +184,36 @@ def test_loop_lengths_match_networkx_minimum_cycle_basis():
         assert list(shortest_loop_system(g).lengths) == pytest.approx(expected, rel=1e-12)
         checked += len(expected)
     assert checked > 100
+
+
+def _parent_edge_graphs():
+    rng = random.Random(5)
+    for seed in range(1000):
+        n = 1 + seed % 8
+        m = n - 1 + seed % 6
+        kind = seed % 4
+        if kind == 0:  # all lengths equal: many exact ties
+            yield random_metric_graph(n, m, (1.0, 1.0), seed=seed)
+        elif kind == 1:
+            yield random_metric_graph(n, m, (0.5, 2.0), seed=seed)
+        elif kind == 2:  # decimal lengths whose sums tie only up to rounding
+            g = random_metric_graph(n, m, (1.0, 1.0), seed=seed)
+            yield MetricGraph.build(
+                g.vertices,
+                [(e.id, e.u, e.v, rng.choice((0.1, 0.2, 0.3, 0.6))) for e in g.edges],
+            )
+        else:
+            yield tree_of_loops(random_tree_of_loops_spec(random.Random(seed)))
+    for k in range(1, 5):
+        yield bouquet([rng.choice((1.0, 2.0, 2.5)) for _ in range(k)])
+
+
+def test_parent_edges_match_tie_aware_shortest_path_tree():
+    # self-loops and parallel edges come from random_metric_graph's extra edges
+    roots = 0
+    for g in _parent_edge_graphs():
+        for root in g.vertices:
+            spt = shortest_path_tree(g, GraphPoint.at_vertex(root))
+            assert _parent_edges(g, root) == spt.parent_edge
+            roots += 1
+    assert roots > 3000

@@ -17,9 +17,10 @@ from graphdist import (
     perturb_to_generic,
     random_metric_graph,
     shortest_loop_system,
-    shortest_path_tree,
     to_json_dict,
 )
+
+from oracles import shortest_path_tree
 
 
 def test_parallel_equal_edges_diagram_still_correct():

@@ -5,26 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphdist import (
-    FeasibilityGraph,
     GraphPoint,
-    HallWitness,
     Matching,
     MetricGraph,
     NotABouquet,
     NotTreeOfLoops,
-    SizeMismatch,
     TreeOfLoopsSpec,
     bottleneck_value,
     bouquet,
-    build_feasibility_graph,
     extended_persistence_1d,
-    in_feasible_region,
     intrinsic_cech_distance,
     is_bouquet,
     is_tree_of_loops,
     named,
-    perfect_matching,
-    random_generic_instance,
     shortest_loop_system,
     subdivide,
     to_json_dict,
@@ -36,7 +29,18 @@ from graphdist import (
 from graphdist.harness import random_tree_of_loops_spec
 from graphdist.metric_graph import _component_of
 
-from oracles import hall_condition_holds, ideal_replacement_no_worse, smooth_degree_two
+from oracles import (
+    FeasibilityGraph,
+    HallWitness,
+    SizeMismatch,
+    build_feasibility_graph,
+    hall_condition_holds,
+    ideal_replacement_no_worse,
+    in_feasible_region,
+    perfect_matching,
+    random_generic_instance,
+    smooth_degree_two,
+)
 
 
 # -------------------------------------------------------------------- regions

@@ -13,9 +13,9 @@ from graphdist import (
     named,
     perturb_to_generic,
     random_metric_graph,
-    shortest_path_tree,
 )
-from graphdist.harness import random_base_point
+
+from oracles import random_base_point, shortest_path_tree
 
 
 def V(x):

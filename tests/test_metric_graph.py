@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -200,3 +201,42 @@ def test_loader_rejects_bad_lengths(length):
     data = {"vertices": ["a", "b"], "edges": [{"id": "e", "u": "a", "v": "b", "length": length}]}
     with pytest.raises(GraphFormatError):
         from_json_dict(json.loads(json.dumps(data)))
+
+
+def _clash_cases():
+    P = GraphPoint.on_edge
+    parallel = MetricGraph.build(
+        ["u", "v"], [("x", "u", "v", 1.0), ("x#0", "u", "v", 1.7), ("x#1", "u", "v", 2.3)]
+    )
+    yield parallel, [P("x", 0.3)]
+    yield parallel, [P("x", 0.3), P("x#0", 0.3), P("x#1", 1.0)]
+    single = MetricGraph.build(["u", "v"], [("e", "u", "v", 1.0)])
+    # two offsets that print alike at 12 significant digits
+    yield single, [P("e", 0.1), P("e", 0.1 + 1e-14)]
+    taken = MetricGraph.build(["u", "v", "e@0.5", "e@@0.5"], [("e", "u", "v", 1.0)])
+    yield taken, [P("e", 0.5)]
+    # 'x@' + '@0.3' spells the fallback name of a cut on x at 0.3
+    at = MetricGraph.build(["u", "v", "x@0.3"], [("x", "u", "v", 1.0), ("x@", "u", "v", 2.0)])
+    yield at, [P("x", 0.3), P("x@", 0.3)]
+    rng = random.Random(11)
+    ids = ["x", "x#0", "x#1", "x#0#0", "x#0#1", "x@", "x@@0.5", "x#0~1", "x#1~1"]
+    for _ in range(200):
+        edge_ids = rng.sample(ids, rng.randint(1, len(ids)))
+        vertices = ["u", "v"] + rng.sample(["x@0.5", "x@@0.5", "x#0@0.5", "x@@@0.5"], 2)
+        g = MetricGraph.build(vertices, [(e, "u", "v", 1.0) for e in edge_ids])
+        points = [
+            P(rng.choice(edge_ids), rng.choice([0.5, 0.5 + 1e-14, 0.25, 1.0]))
+            for _ in range(rng.randint(1, 6))
+        ]
+        yield g, points
+
+
+def test_subdivide_mints_unique_ids():
+    for g, points in _clash_cases():
+        g2, mapping, parent = subdivide(g, points)
+        MetricGraph.build(g2.vertices, [(e.id, e.u, e.v, e.length) for e in g2.edges])
+        assert sorted(parent) == sorted(e.id for e in g2.edges)
+        # distinct cut points get distinct new vertices
+        interior = {p for p in points if not p.normalized(g).is_vertex}
+        assert len({mapping[p] for p in interior}) == len(interior)
+        assert set(mapping.values()) <= set(g2.vertices)

@@ -9,7 +9,6 @@ from graphdist import (
     TreeOfLoopsSpec,
     bottleneck_value,
     bouquet,
-    cycle_metrics,
     extended_persistence_1d,
     first_betti,
     geodesic_distance,
@@ -18,15 +17,17 @@ from graphdist import (
     random_metric_graph,
     shortest_loop_system,
     tree_of_loops,
-    tree_of_loops_diagram,
     tree_of_loops_parts,
 )
-from graphdist.harness import random_base_point, random_tree_of_loops_spec
+from graphdist.harness import random_tree_of_loops_spec
 
 from oracles import (
     all_closed_walk_edge_sets,
     build_filtration,
+    cycle_metrics,
     matrix_extended_persistence_1d,
+    random_base_point,
+    tree_of_loops_diagram,
 )
 
 
