@@ -22,10 +22,17 @@ lies strictly between the answer so far and its row's best, so each pair is
 asked about that window alone. The per-point bound or one matching settles
 most pairs (the value is at least the row's best, or at most the answer);
 only values inside the window are searched exactly (decision, then search,
-as in Efrat, Itai and Katz, 2001). For the plane grounds a bound matrix,
-computed once in blocks over both sets stacked as arrays, holds for every
-pair the larger of the diagonal-profile bound and the per-point bound; it
-orders the rows and each row's scan, and ends rows early.
+as in Efrat, Itai and Katz, 2001). For the plane grounds two cheap bounds
+are computed for every pair, in row blocks over both sets stacked as arrays.
+The upper bound is the cost of a valid matching that pairs points in sorted
+order, the best of a few sort keys; the lower bound compares the
+diagonal-cost profiles. Rows are scanned in descending order of their least
+upper bound, which is also each row's first best, and the scan stops at the
+first row whose bound is at most the answer (the early break of exact
+Hausdorff algorithms, Taha and Hanbury, 2015); on sampled diagram sets this
+settles most rows without a matching. Only a scanned row computes its
+per-point bounds, whose max with the profile bounds orders the row's scan
+and ends it early.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -373,82 +380,132 @@ def yaxis_bottleneck(a: Sequence[float], b: Sequence[float]) -> float:
     return max((abs(x - y) for x, y in zip(av, bv)), default=0.0)
 
 
-#: The bound matrix is computed in blocks of about this many point-to-point
-#: costs, so its transient arrays stay small next to the process.
+#: The pair bounds are computed in blocks of about this many costs, so their
+#: transient arrays stay small next to the process.
 _BLOCK_COSTS = 20_000
 
 
-def _bound_matrix(a: List[List[Point]], b: List[List[Point]], gr: Ground) -> np.ndarray:
-    """A lower bound on the bottleneck of every pair (a[i], b[j]), for the
-    plane metrics.
+def _stack(
+    diags: List[List[Point]], width: int, gr: Ground
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Points (N, width, 2), diagonal costs (N, width) and a mask of the real
+    points, short diagrams padded with the diagonal point (0, 0). By the
+    triangle inequality no point is closer to (0, 0) than to the diagonal, so
+    the padding moves no bound."""
+    pts = np.zeros((len(diags), width, 2))
+    diag = np.zeros((len(diags), width))
+    for k, d in enumerate(diags):
+        if d:
+            pts[k, : len(d)] = d
+            diag[k, : len(d)] = [gr.to_diagonal(p) for p in d]
+    real = np.arange(width) < np.array([len(d) for d in diags])[:, None]
+    return pts, diag, real
 
-    Each entry is the larger of two bounds. The aligned diagonal-cost profiles
-    bound every bottleneck from below (the y-axis closed form applied to the
-    1-Lipschitz diagonal-cost functional). The per-point bound of
-    _bottleneck_value is each point's cheapest option, a partner or the
-    diagonal. Both sides are stacked into (N, width, 2) arrays, short diagrams
-    padded with the diagonal point (0, 0): by the triangle inequality no point
-    is closer to it than to the diagonal, so the padding moves neither bound.
+
+def _sorted_stacks(
+    pts: np.ndarray, diag: np.ndarray, real: np.ndarray
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Each stacked diagram sorted by persistence (descending), by birth, by
+    death and by birth + death, padding last. Per key, the points come shaped
+    (N, width, 1, 2), so that cost_matrix pairs the k-th points of two stacks
+    in place, with their diagonal costs."""
+    birth, death = pts[..., 0], pts[..., 1]
+    out = []
+    for key in (birth - death, birth, death, birth + death):
+        order = np.argsort(np.where(real, key, np.inf), axis=1, kind="stable")
+        out.append((
+            np.take_along_axis(pts, order[..., None], 1)[:, :, None, :],
+            np.take_along_axis(diag, order, 1),
+        ))
+    return out
+
+
+def _pair_bounds(a: List[List[Point]], b: List[List[Point]], gr: Ground):
+    """Bounds on the bottleneck of every pair (a[i], b[j]), for the plane
+    metrics, and the stacks that the per-point bound reads.
+
+    The lower bound compares the aligned diagonal-cost profiles (the y-axis
+    closed form applied to the 1-Lipschitz diagonal-cost functional). The
+    upper bound is the cost of a valid matching: sort both diagrams by one
+    key and pair the k-th points, each pair matched to each other or both
+    retired to the diagonal, whichever costs less; the best of several keys
+    is kept. Its entries are costs of gr.cost_matrix and gr.to_diagonal, so
+    each is a candidate of the search, bit for bit.
     """
     width = max(1, *map(len, a), *map(len, b))
-
-    def stack(diags):
-        pts = np.zeros((len(diags), width, 2))
-        diag = np.zeros((len(diags), width))
-        for k, d in enumerate(diags):
-            if d:
-                pts[k, : len(d)] = d
-                diag[k, : len(d)] = [gr.to_diagonal(p) for p in d]
-        return pts, diag
-
-    (pa, da), (pb, db) = stack(a), stack(b)
+    (pa, da, ra), (pb, db, rb) = _stack(a, width, gr), _stack(b, width, gr)
     # profiles sorted in descending order
     fa, fb = -np.sort(-da, axis=1), -np.sort(-db, axis=1)
     # The profile bound holds in exact arithmetic; rounding in the diagonal
     # costs, their differences and the candidate costs can put it a few ulps
     # of the largest diagonal cost above a computed bottleneck, so it gives
-    # up that much. The per-point bound takes the very costs of the search.
+    # up that much.
     slack = 16 * np.finfo(float).eps * max(da.max(), db.max())
-    per_pair = width * width
-    cols = max(1, min(len(b), _BLOCK_COSTS // per_pair))
-    rows = max(1, _BLOCK_COSTS // (cols * per_pair))
-    bound = np.empty((len(a), len(b)))
+    keys = list(zip(_sorted_stacks(pa, da, ra), _sorted_stacks(pb, db, rb)))
+    rows = max(1, _BLOCK_COSTS // (len(b) * width))
+    lower = np.empty((len(a), len(b)))
+    upper = np.full((len(a), len(b)), np.inf)
     for r in range(0, len(a), rows):
-        for c in range(0, len(b), cols):
-            R, C = slice(r, r + rows), slice(c, c + cols)
-            cost = gr.cost_matrix(pa[R, None], pb[None, C])
-            point = np.maximum(
-                np.minimum(cost.min(axis=3), da[R, None, :]).max(axis=2),
-                np.minimum(cost.min(axis=2), db[None, C, :]).max(axis=2),
-            )
-            profile = np.abs(fa[R, None, :] - fb[None, C, :]).max(axis=2) - slack
-            bound[R, C] = np.maximum(point, profile)
-    return bound
+        R = slice(r, r + rows)
+        lower[R] = np.abs(fa[R, None, :] - fb[None, :, :]).max(axis=2) - slack
+        for (sa, sda), (sb, sdb) in keys:
+            cost = gr.cost_matrix(sa[R, None], sb[None])[..., 0, 0]
+            retire = np.maximum(sda[R, None, :], sdb[None, :, :])
+            np.minimum(upper[R], np.minimum(cost, retire, out=cost).max(axis=2), out=upper[R])
+    return lower, upper, (pa, da), (pb, db)
+
+
+def _point_bound(
+    p: np.ndarray, d: np.ndarray, qs: np.ndarray, dq: np.ndarray, gr: Ground
+) -> np.ndarray:
+    """The per-point bound of _bottleneck_value between one stacked diagram
+    (points p, diagonal costs d) and every diagram of the stack (qs, dq):
+    each point's cheapest option, a partner or the diagonal. Computed in
+    chunks of columns."""
+    width = len(d)
+    cols = max(1, _BLOCK_COSTS // (width * width))
+    out = np.empty(len(qs))
+    for c in range(0, len(qs), cols):
+        C = slice(c, c + cols)
+        cost = gr.cost_matrix(p[None], qs[C])
+        out[C] = np.maximum(
+            np.minimum(cost.min(axis=2), d[None, :]).max(axis=1),
+            np.minimum(cost.min(axis=1), dq[C]).max(axis=1),
+        )
+    return out
 
 
 def _directed_hausdorff(
-    from_diags: List[List[Point]], to_diags: List[List[Point]], gr: Ground, bound: np.ndarray
+    from_diags: List[List[Point]],
+    to_diags: List[List[Point]],
+    gr: Ground,
+    upper: np.ndarray,
+    lower_row: Callable[[int], np.ndarray],
 ) -> float:
     """sup over from_diags of inf over to_diags of the bottleneck distance.
 
-    A column can change the answer only if its bottleneck lies strictly
-    between the current answer and its row's best so far, so each pair is
-    evaluated in that window: one matching proves it too large (the
-    per-point bound often proves it with none), one proves the row cannot
-    raise the answer, and only values inside the window are searched exactly.
-    bound[i, j] is a lower bound on the bottleneck of the pair (i, j); it
-    orders the rows and each row's scan, and ends a row early. Every value
-    kept is an exact candidate cost, so the result equals the unpruned one.
+    upper[i, j] is at least the bottleneck of the pair (i, j), and a candidate
+    cost. Rows go in descending order of their least upper bound; once that
+    is at most the answer, no row left can raise it. A scanned row starts its
+    best at that bound, and only then computes its lower bounds lower_row(i),
+    which order its scan and end it early. A column can change the answer
+    only if its bottleneck lies strictly between the current answer and its
+    row's best so far, so each pair is evaluated in that window: one matching
+    proves it too large (the per-point bound often proves it with none), one
+    proves the row cannot raise the answer, and only values inside the
+    window are searched exactly. Every value kept is an exact candidate
+    cost, so the result equals the unpruned one.
     """
-    scan_order = np.argsort(bound, axis=1)
-    row_order = np.argsort(-bound.min(axis=1), kind="stable")
-
+    row_upper = upper.min(axis=1)
     answer = 0.0
-    for i in row_order.tolist():
+    for i in np.argsort(-row_upper, kind="stable").tolist():
+        best = float(row_upper[i])
+        if best <= answer:
+            break
         da = from_diags[i]
-        row = bound[i].tolist()
-        best = math.inf
-        for j in scan_order[i].tolist():
+        row = lower_row(i)
+        order, row = np.argsort(row).tolist(), row.tolist()
+        for j in order:
             if best <= answer or row[j] >= best:
                 break
             value, _ = _bottleneck_value(da, to_diags[j], gr, answer, best)
@@ -468,9 +525,22 @@ def hausdorff_bottleneck(
     gr = resolve_ground(ground)
     a = [_as_pairs(d) for d in s1]
     b = [_as_pairs(d) for d in s2]
-    if isinstance(gr, (L1Ground, LinfGround)):
-        bound = _bound_matrix(a, b, gr)
-    else:
-        # other grounds scan with an all-zero bound
-        bound = np.zeros((len(a), len(b)))
-    return max(_directed_hausdorff(a, b, gr, bound), _directed_hausdorff(b, a, gr, bound.T))
+    if not isinstance(gr, (L1Ground, LinfGround)):
+        # other grounds scan every row, in order, from unbounded bests
+        upper = np.full((len(a), len(b)), np.inf)
+        return max(
+            _directed_hausdorff(a, b, gr, upper, lambda i: np.zeros(len(b))),
+            _directed_hausdorff(b, a, gr, upper.T, lambda j: np.zeros(len(a))),
+        )
+    lower, upper, (pa, da), (pb, db) = _pair_bounds(a, b, gr)
+
+    def forward_lower(i: int) -> np.ndarray:
+        return np.maximum(lower[i], _point_bound(pa[i], da[i], pb, db, gr))
+
+    def backward_lower(j: int) -> np.ndarray:
+        return np.maximum(lower[:, j], _point_bound(pb[j], db[j], pa, da, gr))
+
+    return max(
+        _directed_hausdorff(a, b, gr, upper, forward_lower),
+        _directed_hausdorff(b, a, gr, upper.T, backward_lower),
+    )

@@ -75,6 +75,11 @@ def tree_of_loops(spec: TreeOfLoopsSpec) -> MetricGraph:
     return tree_of_loops_parts(spec)[0]
 
 
+#: Most edges of a random graph; a larger request fails before anything is
+#: allocated instead of running out of memory.
+MAX_EDGES = 100_000
+
+
 def random_metric_graph(
     n_vertices: int,
     n_edges: int,
@@ -86,12 +91,15 @@ def random_metric_graph(
 
     Extra edges may be parallel edges or self-loops. Deterministic per seed;
     when generic_epsilon > 0 the lengths are additionally perturbed to break
-    shortest-path ties.
+    shortest-path ties. At most MAX_EDGES edges, so at most MAX_EDGES + 1
+    vertices.
     """
     if n_vertices < 1:
         raise GraphFormatError("need at least one vertex")
     if n_edges < n_vertices - 1:
         raise GraphFormatError("too few edges to connect the graph")
+    if n_edges > MAX_EDGES:
+        raise GraphFormatError(f"{n_edges} edges is more than the limit of {MAX_EDGES}")
     lo, hi = length_range
     if not (0 < lo <= hi):
         raise GraphFormatError(f"bad length range {length_range!r}")

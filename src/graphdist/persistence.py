@@ -18,6 +18,7 @@ import io
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .errors import GraphError
 from .geodesics import dijkstra, geodesic_field
 from .metric_graph import GraphPoint, MetricGraph, subdivide
 
@@ -140,6 +141,11 @@ def extended_persistence_1d(g: MetricGraph, base: GraphPoint) -> Diagram:
         while k in pivots:
             z ^= pivots[k]
             k = z.bit_length() - 1
+        if z == 0:
+            # a cycle of a consistent filtration always kills a birth
+            raise GraphError(
+                f"edge {e.id!r} closes a cycle with no class to kill; are edge ids unique?"
+            )
         pivots[k] = z
         born, dies = top[births[k]], bottom[e.id]
         points.append(

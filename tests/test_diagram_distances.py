@@ -15,6 +15,7 @@ from graphdist import (
     bottleneck_value,
     bouquet,
     hausdorff_bottleneck,
+    persistence_distortion,
     random_metric_graph,
     sample_phi,
     yaxis_bottleneck,
@@ -26,12 +27,13 @@ from graphdist.diagram_distances import (
     L1Ground,
     LinfGround,
     _bottleneck_value,
-    _bound_matrix,
+    _pair_bounds,
     max_matching,
     resolve_ground,
 )
 
 from oracles import (
+    _bound_matrix,
     brute_bottleneck,
     brute_bottleneck_enum,
     kuhn_bottleneck_value,
@@ -361,23 +363,86 @@ def test_hausdorff_bit_equal_on_ragged_and_padded_sets():
             assert hausdorff_bottleneck(p1, s2, ground) == pruned_hausdorff(p1, s2, ground)
 
 
-def test_bound_matrix_is_below_every_bottleneck(monkeypatch):
+def _bound_cases():
     rng = random.Random(2718)
     generic = [random_metric_graph(6, 9, (1.0, 2.0), seed=k, generic_epsilon=1e-3) for k in (5, 6)]
     cases = [_phi_sets(generic, 0.6), _phi_sets([bouquet([2.0, 3.0, 3.0]), bouquet([2.0, 2.5])], 0.5)]
     cases += [_ragged_sets(rng) for _ in range(3)]
     cases += [[_pad(s, rng) for s in _ragged_sets(rng)]]
-    for s1, s2 in cases:
+    return cases
+
+
+def test_bound_matrix_is_below_every_bottleneck(monkeypatch):
+    # the pair bounds bracket every bottleneck: lower <= value <= upper
+    for s1, s2 in _bound_cases():
         for gr in (L1Ground(), LinfGround()):
-            bound = _bound_matrix(s1, s2, gr)
-            assert bound.shape == (len(s1), len(s2))
+            lower, upper, _, _ = _pair_bounds(s1, s2, gr)
+            assert lower.shape == upper.shape == (len(s1), len(s2))
             for i, a in enumerate(s1):
                 for j, b in enumerate(s2):
-                    assert bound[i, j] <= bottleneck_value(a, b, gr)
-            # tiny blocks split rows and columns; the entries stay the same
+                    assert lower[i, j] <= bottleneck_value(a, b, gr) <= upper[i, j]
+            # tiny blocks split the rows; the entries stay the same
             monkeypatch.setattr(diagram_distances, "_BLOCK_COSTS", 7)
-            assert (_bound_matrix(s1, s2, gr) == bound).all()
+            small_lower, small_upper, _, _ = _pair_bounds(s1, s2, gr)
+            assert (small_lower == lower).all() and (small_upper == upper).all()
             monkeypatch.undo()
+
+
+def test_scanned_row_bounds_equal_the_bound_matrix(monkeypatch):
+    # each row the Hausdorff scans gets the lower bounds of the bound matrix
+    # it replaces, forward rows as rows and backward rows as columns, at any
+    # block size
+    scan = diagram_distances._directed_hausdorff
+    scanned = [0, 0]
+    for block in (diagram_distances._BLOCK_COSTS, 7):
+        monkeypatch.setattr(diagram_distances, "_BLOCK_COSTS", block)
+        for s1, s2 in _bound_cases():
+            for gr in (L1Ground(), LinfGround()):
+                rows = []
+
+                def recording(from_diags, to_diags, gr_, upper, lower_row):
+                    direction = len(rows)
+                    rows.append([])
+
+                    def lower(i):
+                        row = lower_row(i)
+                        rows[direction].append((i, row))
+                        return row
+
+                    return scan(from_diags, to_diags, gr_, upper, lower)
+
+                monkeypatch.setattr(diagram_distances, "_directed_hausdorff", recording)
+                hausdorff_bottleneck(s1, s2, gr)
+                monkeypatch.setattr(diagram_distances, "_directed_hausdorff", scan)
+                oracle = _bound_matrix(s1, s2, gr)
+                forward, backward = rows
+                scanned[0] += len(forward)
+                scanned[1] += len(backward)
+                for i, row in forward:
+                    assert (row == oracle[i]).all()
+                for j, row in backward:
+                    assert (row == oracle[:, j]).all()
+    assert min(scanned) > 0
+
+
+def test_upper_bounds_settle_most_rows(monkeypatch):
+    # without the upper bounds the scan made 533 calls on these pairs
+    # (139 + 170 + 224); the rows they settle must cut that to a third
+    calls = 0
+    search = diagram_distances._bottleneck_value
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return search(*args)
+
+    monkeypatch.setattr(diagram_distances, "_bottleneck_value", counting)
+    for s1, s2 in ((1, 2), (3, 4), (5, 6)):
+        g1, g2 = (
+            random_metric_graph(10, 16, (1.0, 2.0), seed=s, generic_epsilon=1e-3) for s in (s1, s2)
+        )
+        persistence_distortion(g1, g2, 0.5)
+    assert calls <= 177
 
 
 def _matching_cost(pts1, pts2, gr, match_l):

@@ -92,3 +92,13 @@ def test_generator_outputs_validate():
     for seed in range(10):
         g = random_metric_graph(4, 6, (0.5, 2.0), seed=seed)
         validate(g)
+
+
+def test_random_graph_size_limit_fails_before_allocating():
+    # 10^8 edges would run out of memory; the limit rejects it at once
+    from graphdist.generators import MAX_EDGES
+
+    for n, m in ((2, 100_000_000), (100_000_000, 100_000_000), (2, MAX_EDGES + 1)):
+        with pytest.raises(GraphFormatError, match="limit"):
+            random_metric_graph(n, m, (1.0, 2.0), seed=1)
+    assert len(random_metric_graph(2, 1000, (1.0, 2.0), seed=1).edges) == 1000

@@ -306,3 +306,36 @@ def test_diagram_csv_format():
     lines = d.to_csv().strip().splitlines()
     assert lines[0] == "birth,death,edge_id"
     assert lines[1] == "0,1,loop0"
+
+
+def test_class_reducing_to_zero_raises_instead_of_hanging():
+    # Edges that share an id (MetricGraph built directly, without build's
+    # check) make the filtration inconsistent: a cycle-closing edge reduces
+    # to the zero class. The first graph hung, the second gave two made-up
+    # points; both must raise. Each runs in a subprocess under a timeout.
+    import os
+    import subprocess
+    import sys
+
+    import graphdist
+
+    graphs = [
+        '("u",), (Edge("a", "u", "u", 1.0), Edge("a", "u", "u", 1.7), Edge("a", "u", "u", 2.3))',
+        '("u", "v"), (Edge("a", "u", "v", 1.0), Edge("a", "u", "v", 1.5), Edge("b", "u", "v", 2.2))',
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(graphdist.__file__))
+    for graph in graphs:
+        code = (
+            "from graphdist import Edge, GraphError, GraphPoint, MetricGraph, extended_persistence_1d\n"
+            f"g = MetricGraph({graph})\n"
+            "try:\n"
+            "    print(extended_persistence_1d(g, GraphPoint.at_vertex('u')).pairs())\n"
+            "except GraphError as exc:\n"
+            "    print('GraphError', exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("GraphError"), proc.stdout
