@@ -22,17 +22,17 @@ lies strictly between the answer so far and its row's best, so each pair is
 asked about that window alone. The per-point bound or one matching settles
 most pairs (the value is at least the row's best, or at most the answer);
 only values inside the window are searched exactly (decision, then search,
-as in Efrat, Itai and Katz, 2001). For the plane grounds two cheap bounds
-are computed for every pair, in row blocks over both sets stacked as arrays.
-The upper bound is the cost of a valid matching that pairs points in sorted
-order, the best of a few sort keys; the lower bound compares the
-diagonal-cost profiles. Rows are scanned in descending order of their least
-upper bound, which is also each row's first best, and the scan stops at the
-first row whose bound is at most the answer (the early break of exact
-Hausdorff algorithms, Taha and Hanbury, 2015); on sampled diagram sets this
-settles most rows without a matching. Only a scanned row computes its
-per-point bounds, whose max with the profile bounds orders the row's scan
-and ends it early.
+as in Efrat, Itai and Katz, 2001). For the plane grounds both bounds that
+prune are candidate costs of the search, so no rounding can put one on the
+wrong side of a computed bottleneck. The upper bound is computed for every
+pair, in row blocks over both sets stacked as arrays: the cost of a valid
+matching that pairs points in sorted order, the best of a few sort keys.
+Rows are scanned in descending order of their least upper bound, which is
+also each row's first best, and the scan stops at the first row whose bound
+is at most the answer (the early break of exact Hausdorff algorithms, Taha
+and Hanbury, 2015); on sampled diagram sets this settles most rows without a
+matching. Only a scanned row computes its lower bounds, the per-point bounds
+of its pairs, which order the row's scan and end it early.
 """
 
 from __future__ import annotations
@@ -157,9 +157,16 @@ class Matching:
 
 
 def _as_pairs(diagram) -> List[Point]:
+    """The (birth, death) points of a diagram; each must be finite with
+    birth <= death, or ValueError names the first that is not."""
     if hasattr(diagram, "pairs"):
-        return [tuple(p) for p in diagram.pairs()]
-    return [(float(b), float(d)) for b, d in diagram]
+        pts = [tuple(p) for p in diagram.pairs()]
+    else:
+        pts = [(float(b), float(d)) for b, d in diagram]
+    bad = next((p for p in pts if not -math.inf < p[0] <= p[1] < math.inf), None)
+    if bad is not None:
+        raise ValueError(f"diagram point {bad!r} is not finite with birth <= death")
+    return pts
 
 
 def max_matching(
@@ -366,10 +373,13 @@ def yaxis_bottleneck(a: Sequence[float], b: Sequence[float]) -> float:
     """Closed-form bottleneck between y-axis diagrams {(0, a_i)} and {(0, b_i)}.
 
     The shorter multiset is padded with zeros, both are sorted, and the answer
-    is the largest aligned gap.
+    is the largest aligned gap. Values must be finite (ValueError) and
+    nonnegative (NegativeValue).
     """
     av, bv = [float(x) for x in a], [float(x) for x in b]
     for v in av + bv:
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite value {v!r}")
         if v < 0.0:
             raise NegativeValue(f"negative value {v!r}")
     n = max(len(av), len(bv))
@@ -421,38 +431,27 @@ def _sorted_stacks(
 
 
 def _pair_bounds(a: List[List[Point]], b: List[List[Point]], gr: Ground):
-    """Bounds on the bottleneck of every pair (a[i], b[j]), for the plane
-    metrics, and the stacks that the per-point bound reads.
+    """An upper bound on the bottleneck of every pair (a[i], b[j]), for the
+    plane metrics, and the stacks that the per-point bound reads.
 
-    The lower bound compares the aligned diagonal-cost profiles (the y-axis
-    closed form applied to the 1-Lipschitz diagonal-cost functional). The
-    upper bound is the cost of a valid matching: sort both diagrams by one
-    key and pair the k-th points, each pair matched to each other or both
+    The bound is the cost of a valid matching: sort both diagrams by one key
+    and pair the k-th points, each pair matched to each other or both
     retired to the diagonal, whichever costs less; the best of several keys
     is kept. Its entries are costs of gr.cost_matrix and gr.to_diagonal, so
     each is a candidate of the search, bit for bit.
     """
     width = max(1, *map(len, a), *map(len, b))
     (pa, da, ra), (pb, db, rb) = _stack(a, width, gr), _stack(b, width, gr)
-    # profiles sorted in descending order
-    fa, fb = -np.sort(-da, axis=1), -np.sort(-db, axis=1)
-    # The profile bound holds in exact arithmetic; rounding in the diagonal
-    # costs, their differences and the candidate costs can put it a few ulps
-    # of the largest diagonal cost above a computed bottleneck, so it gives
-    # up that much.
-    slack = 16 * np.finfo(float).eps * max(da.max(), db.max())
     keys = list(zip(_sorted_stacks(pa, da, ra), _sorted_stacks(pb, db, rb)))
     rows = max(1, _BLOCK_COSTS // (len(b) * width))
-    lower = np.empty((len(a), len(b)))
     upper = np.full((len(a), len(b)), np.inf)
     for r in range(0, len(a), rows):
         R = slice(r, r + rows)
-        lower[R] = np.abs(fa[R, None, :] - fb[None, :, :]).max(axis=2) - slack
         for (sa, sda), (sb, sdb) in keys:
             cost = gr.cost_matrix(sa[R, None], sb[None])[..., 0, 0]
             retire = np.maximum(sda[R, None, :], sdb[None, :, :])
             np.minimum(upper[R], np.minimum(cost, retire, out=cost).max(axis=2), out=upper[R])
-    return lower, upper, (pa, da), (pb, db)
+    return upper, (pa, da), (pb, db)
 
 
 def _point_bound(
@@ -488,7 +487,9 @@ def _directed_hausdorff(
     cost. Rows go in descending order of their least upper bound; once that
     is at most the answer, no row left can raise it. A scanned row starts its
     best at that bound, and only then computes its lower bounds lower_row(i),
-    which order its scan and end it early. A column can change the answer
+    at most each pair's bottleneck, which order its scan and end it early.
+    Both bounds are candidate costs (or inf and 0 for a custom ground, whose
+    bottlenecks may be inf). A column can change the answer
     only if its bottleneck lies strictly between the current answer and its
     row's best so far, so each pair is evaluated in that window: one matching
     proves it too large (the per-point bound often proves it with none), one
@@ -511,8 +512,7 @@ def _directed_hausdorff(
             value, _ = _bottleneck_value(da, to_diags[j], gr, answer, best)
             if value < best:
                 best = value
-        if math.isfinite(best) and best > answer:
-            answer = best
+        answer = max(answer, best)
     return answer
 
 
@@ -532,15 +532,8 @@ def hausdorff_bottleneck(
             _directed_hausdorff(a, b, gr, upper, lambda i: np.zeros(len(b))),
             _directed_hausdorff(b, a, gr, upper.T, lambda j: np.zeros(len(a))),
         )
-    lower, upper, (pa, da), (pb, db) = _pair_bounds(a, b, gr)
-
-    def forward_lower(i: int) -> np.ndarray:
-        return np.maximum(lower[i], _point_bound(pa[i], da[i], pb, db, gr))
-
-    def backward_lower(j: int) -> np.ndarray:
-        return np.maximum(lower[:, j], _point_bound(pb[j], db[j], pa, da, gr))
-
+    upper, (pa, da), (pb, db) = _pair_bounds(a, b, gr)
     return max(
-        _directed_hausdorff(a, b, gr, upper, forward_lower),
-        _directed_hausdorff(b, a, gr, upper.T, backward_lower),
+        _directed_hausdorff(a, b, gr, upper, lambda i: _point_bound(pa[i], da[i], pb, db, gr)),
+        _directed_hausdorff(b, a, gr, upper.T, lambda j: _point_bound(pb[j], db[j], pa, da, gr)),
     )

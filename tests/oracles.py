@@ -7,7 +7,9 @@ of all loops of the graph. `kuhn_bottleneck_value` keeps the earlier
 recursive-matching bottleneck as a differential oracle for the iterative one,
 `pruned_hausdorff` the earlier Hausdorff that ran a full bottleneck for every
 pair it did not prune, `_bound_matrix` the lower bound that the Hausdorff
-once computed for every pair, `smooth_degree_two` the earlier smoothing loop
+once computed for every pair (the only home left of the diagonal-profile
+bound), `_point_bound_matrix` its per-point term, which every row the
+Hausdorff scans must reproduce, `smooth_degree_two` the earlier smoothing loop
 that decided `is_bouquet`, and `matrix_extended_persistence_1d` the earlier
 extended persistence by coned boundary-matrix reduction.
 `networkx_loop_lengths` takes the shortest loop lengths from networkx's
@@ -175,8 +177,9 @@ def _pruned_directed_hausdorff(from_diags, to_diags, gr: Ground) -> float:
 
     pa = np.array([profile(d) for d in from_diags])
     pb = np.array([profile(d) for d in to_diags])
-    # the slack of the profile bound in diagram_distances._pair_bounds: in
-    # floats the profile bound can sit an ulp above a computed bottleneck
+    # the profile bound holds in exact arithmetic, but in floats it can sit an
+    # ulp above a computed bottleneck, so it gives up a few ulps of the
+    # largest diagonal cost
     slack = 16 * np.finfo(float).eps * max(pa.max(), pb.max())
     lb = np.abs(pa[:, None, :] - pb[None, :, :]).max(axis=2) - slack
     answer = 0.0
@@ -200,20 +203,11 @@ def pruned_hausdorff(s1: Sequence, s2: Sequence, ground="l1") -> float:
     return max(_pruned_directed_hausdorff(a, b, gr), _pruned_directed_hausdorff(b, a, gr))
 
 
-def _bound_matrix(a: List[List[Point]], b: List[List[Point]], gr: Ground) -> np.ndarray:
-    """A lower bound on the bottleneck of every pair (a[i], b[j]), for the
-    plane metrics: the earlier bound matrix of the Hausdorff, computed for
-    every pair in one broadcast.
-
-    Each entry is the larger of two bounds. The aligned diagonal-cost profiles
-    bound every bottleneck from below (the y-axis closed form applied to the
-    1-Lipschitz diagonal-cost functional), less a slack of a few ulps of the
-    largest diagonal cost for rounding. The per-point bound of
-    _bottleneck_value is each point's cheapest option, a partner or the
-    diagonal. Both sides are stacked into (N, width, 2) arrays, short diagrams
-    padded with the diagonal point (0, 0): by the triangle inequality no point
-    is closer to it than to the diagonal, so the padding moves neither bound.
-    """
+def _stacks(a: List[List[Point]], b: List[List[Point]], gr: Ground):
+    """Both sides stacked into points (N, width, 2) and diagonal costs
+    (N, width), short diagrams padded with the diagonal point (0, 0): by the
+    triangle inequality no point is closer to it than to the diagonal, so the
+    padding moves no bound."""
     width = max(1, *map(len, a), *map(len, b))
 
     def stack(diags):
@@ -225,16 +219,37 @@ def _bound_matrix(a: List[List[Point]], b: List[List[Point]], gr: Ground) -> np.
                 diag[k, : len(d)] = [gr.to_diagonal(p) for p in d]
         return pts, diag
 
-    (pa, da), (pb, db) = stack(a), stack(b)
-    fa, fb = -np.sort(-da, axis=1), -np.sort(-db, axis=1)
-    slack = 16 * np.finfo(float).eps * max(da.max(), db.max())
+    return stack(a), stack(b)
+
+
+def _point_bound_matrix(a: List[List[Point]], b: List[List[Point]], gr: Ground) -> np.ndarray:
+    """The per-point bound of _bottleneck_value for every pair (a[i], b[j]),
+    for the plane metrics, in one broadcast: each point's cheapest option, a
+    partner or the diagonal."""
+    (pa, da), (pb, db) = _stacks(a, b, gr)
     cost = gr.cost_matrix(pa[:, None], pb[None, :])
-    point = np.maximum(
+    return np.maximum(
         np.minimum(cost.min(axis=3), da[:, None, :]).max(axis=2),
         np.minimum(cost.min(axis=2), db[None, :, :]).max(axis=2),
     )
+
+
+def _bound_matrix(a: List[List[Point]], b: List[List[Point]], gr: Ground) -> np.ndarray:
+    """A lower bound on the bottleneck of every pair (a[i], b[j]), for the
+    plane metrics: the earlier bound matrix of the Hausdorff, computed for
+    every pair in one broadcast.
+
+    Each entry is the larger of two bounds: _point_bound_matrix, and the
+    aligned diagonal-cost profiles, which bound every bottleneck from below
+    (the y-axis closed form applied to the 1-Lipschitz diagonal-cost
+    functional), less a slack of a few ulps of the largest diagonal cost for
+    rounding.
+    """
+    (_, da), (_, db) = _stacks(a, b, gr)
+    fa, fb = -np.sort(-da, axis=1), -np.sort(-db, axis=1)
+    slack = 16 * np.finfo(float).eps * max(da.max(), db.max())
     profile = np.abs(fa[:, None, :] - fb[None, :, :]).max(axis=2) - slack
-    return np.maximum(point, profile)
+    return np.maximum(_point_bound_matrix(a, b, gr), profile)
 
 
 @dataclass(frozen=True)

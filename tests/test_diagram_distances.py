@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -34,6 +35,7 @@ from graphdist.diagram_distances import (
 
 from oracles import (
     _bound_matrix,
+    _point_bound_matrix,
     brute_bottleneck,
     brute_bottleneck_enum,
     kuhn_bottleneck_value,
@@ -227,6 +229,38 @@ def test_bottleneck_600_points_peak_memory():
     assert peak < 15e6
 
 
+_BELOW, _NAN, _INF = [(2.0, 1.0)], [(0.0, math.nan)], [(0.0, math.inf)]
+
+
+@pytest.mark.parametrize(
+    "call, point",
+    [
+        (lambda: bottleneck_value(_BELOW, []), "(2.0, 1.0)"),
+        (lambda: bottleneck_value(_BELOW, [], "linf"), "(2.0, 1.0)"),
+        (lambda: bottleneck(_BELOW, []), "(2.0, 1.0)"),
+        (lambda: bottleneck_value(_NAN, [(0.0, 1.0)]), "(0.0, nan)"),
+        (lambda: bottleneck([(0.0, 1.0)], _NAN), "(0.0, nan)"),
+        (lambda: bottleneck_value(_INF, _INF), "(0.0, inf)"),
+        (lambda: bottleneck(_INF, _INF), "(0.0, inf)"),
+        (lambda: hausdorff_bottleneck([[(0.0, 1.0)], _INF], [[(0.0, 1.0)]]), "(0.0, inf)"),
+        (lambda: hausdorff_bottleneck([[(0.0, 1.0)]], [[(0.0, 1.0)], _INF]), "(0.0, inf)"),
+        (lambda: hausdorff_bottleneck([_BELOW], [[(0.0, 1.0)]], "linf"), "(2.0, 1.0)"),
+        (lambda: yaxis_bottleneck([math.nan], [1.0]), "nan"),
+        (lambda: yaxis_bottleneck([1.0], [math.inf]), "inf"),
+    ],
+    ids=[
+        "value-below", "value-below-linf", "matching-below", "value-nan", "matching-nan",
+        "value-inf", "matching-inf", "hausdorff-inf-left", "hausdorff-inf-right",
+        "hausdorff-below", "yaxis-nan", "yaxis-inf",
+    ],
+)
+def test_malformed_diagrams_raise_value_error(call, point):
+    # a diagram point must be finite with birth <= death and a y-axis value
+    # finite; the error names the first that is not
+    with pytest.raises(ValueError, match=re.escape(point)):
+        call()
+
+
 # --------------------------------------------------------------------- y-axis
 
 
@@ -373,25 +407,26 @@ def _bound_cases():
 
 
 def test_bound_matrix_is_below_every_bottleneck(monkeypatch):
-    # the pair bounds bracket every bottleneck: lower <= value <= upper
+    # the upper bounds of _pair_bounds and the slackened lower bounds that
+    # oracles.pruned_hausdorff prunes with bracket every bottleneck
     for s1, s2 in _bound_cases():
         for gr in (L1Ground(), LinfGround()):
-            lower, upper, _, _ = _pair_bounds(s1, s2, gr)
+            upper, _, _ = _pair_bounds(s1, s2, gr)
+            lower = _bound_matrix(s1, s2, gr)
             assert lower.shape == upper.shape == (len(s1), len(s2))
             for i, a in enumerate(s1):
                 for j, b in enumerate(s2):
                     assert lower[i, j] <= bottleneck_value(a, b, gr) <= upper[i, j]
             # tiny blocks split the rows; the entries stay the same
             monkeypatch.setattr(diagram_distances, "_BLOCK_COSTS", 7)
-            small_lower, small_upper, _, _ = _pair_bounds(s1, s2, gr)
-            assert (small_lower == lower).all() and (small_upper == upper).all()
+            small_upper, _, _ = _pair_bounds(s1, s2, gr)
+            assert (small_upper == upper).all()
             monkeypatch.undo()
 
 
 def test_scanned_row_bounds_equal_the_bound_matrix(monkeypatch):
-    # each row the Hausdorff scans gets the lower bounds of the bound matrix
-    # it replaces, forward rows as rows and backward rows as columns, at any
-    # block size
+    # each row the Hausdorff scans gets the per-point bounds of the oracle,
+    # forward rows as rows and backward rows as columns, at any block size
     scan = diagram_distances._directed_hausdorff
     scanned = [0, 0]
     for block in (diagram_distances._BLOCK_COSTS, 7):
@@ -414,7 +449,7 @@ def test_scanned_row_bounds_equal_the_bound_matrix(monkeypatch):
                 monkeypatch.setattr(diagram_distances, "_directed_hausdorff", recording)
                 hausdorff_bottleneck(s1, s2, gr)
                 monkeypatch.setattr(diagram_distances, "_directed_hausdorff", scan)
-                oracle = _bound_matrix(s1, s2, gr)
+                oracle = _point_bound_matrix(s1, s2, gr)
                 forward, backward = rows
                 scanned[0] += len(forward)
                 scanned[1] += len(backward)
@@ -423,6 +458,27 @@ def test_scanned_row_bounds_equal_the_bound_matrix(monkeypatch):
                 for j, row in backward:
                     assert (row == oracle[:, j]).all()
     assert min(scanned) > 0
+
+
+class WalledGround(Ground):
+    """l1, except that points born after 5 can neither cross x = 5 nor retire."""
+
+    def dist(self, x, y):
+        if (x[0] > 5) != (y[0] > 5):
+            return math.inf
+        return abs(x[0] - y[0]) + abs(x[1] - y[1])
+
+    def to_diagonal(self, x):
+        return math.inf if x[0] > 5 else x[1] - x[0]
+
+
+def test_hausdorff_keeps_rows_whose_bottlenecks_are_all_infinite():
+    gr = WalledGround()
+    cases = (([[(6.0, 7.0)]], [[(0.0, 1.0)]]), ([[(6.0, 7.0)], [(0.0, 1.0)]], [[(0.0, 1.5)]]))
+    for s1, s2 in cases:
+        assert hausdorff_bottleneck(s1, s2, gr) == math.inf
+        assert hausdorff_bottleneck(s2, s1, gr) == math.inf
+        assert pruned_hausdorff(s1, s2, gr) == math.inf
 
 
 def test_upper_bounds_settle_most_rows(monkeypatch):
