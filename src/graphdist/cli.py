@@ -40,6 +40,11 @@ def _round12(obj):
     return obj
 
 
+def _json_text(obj) -> str:
+    """Indented, key-sorted JSON of obj with floats at 12 significant digits."""
+    return json.dumps(_round12(obj), indent=2, sort_keys=True) + "\n"
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -74,9 +79,7 @@ def _cmd_generate(args) -> int:
     if args.out:
         save_graph(g, args.out)
     else:
-        sys.stdout.write(
-            json.dumps(_round12(to_json_dict(g)), indent=2, sort_keys=True) + "\n"
-        )
+        sys.stdout.write(_json_text(to_json_dict(g)))
     return 0
 
 
@@ -89,7 +92,7 @@ def _cmd_loops(args) -> int:
             "first_betti": first_betti(g),
             "loops": system.to_json_list(),
         }
-        text = json.dumps(_round12(payload), indent=2, sort_keys=True) + "\n"
+        text = _json_text(payload)
     elif args.format == "csv":
         lines = ["index,length,edges"]
         for i, (loop, length) in enumerate(zip(system.loops, system.lengths)):
@@ -111,10 +114,7 @@ def _cmd_diagram(args) -> int:
     base = parse_point(args.base).normalized(g)
     diagram = extended_persistence_1d(g, base)
     if args.format == "json":
-        text = (
-            json.dumps(_round12({"points": diagram.to_json_list()}), indent=2, sort_keys=True)
-            + "\n"
-        )
+        text = _json_text({"points": diagram.to_json_list()})
     else:
         text = diagram.to_csv()
     _emit(text, args.out)
@@ -125,7 +125,7 @@ def _cmd_dic(args) -> int:
     g1, g2 = _load(args.graph), _load(args.graph2)
     value = intrinsic_cech_distance(g1, g2)
     if args.format == "json":
-        text = json.dumps(_round12({"dic": value}), indent=2, sort_keys=True) + "\n"
+        text = _json_text({"dic": value})
     else:
         text = _fmt(value) + "\n"
     _emit(text, args.out)
@@ -148,19 +148,13 @@ def _cmd_dpd(args) -> int:
         lines = [f"{k} = {_fmt(v) if isinstance(v, float) else v}" for k, v in payload.items()]
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps(_round12(payload), indent=2, sort_keys=True) + "\n"
+        text = _json_text(payload)
     _emit(text, args.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    reports = run_verification(
-        args.family,
-        args.n,
-        args.seed,
-        delta=args.delta,
-        corrupt_dic=args.corrupt_dic,
-    )
+    reports = run_verification(args.family, args.n, args.seed, delta=args.delta)
     if args.format == "table":
         lines = [
             f"{r.family} seed={r.seed} dic={_fmt(r.dic)} "
@@ -236,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--out")
-    p.add_argument("--corrupt-dic", type=float, default=0.0, help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_verify)
     return parser
 

@@ -62,8 +62,6 @@ DIAGONAL = _Diagonal()
 class Ground:
     """Point-to-point cost plus the cost of retiring a point to the diagonal."""
 
-    name = "custom"
-
     def dist(self, x: Point, y: Point) -> float:
         raise NotImplementedError
 
@@ -89,8 +87,6 @@ def _plane_points(pts) -> np.ndarray:
 
 
 class L1Ground(Ground):
-    name = "l1"
-
     def dist(self, x: Point, y: Point) -> float:
         return abs(x[0] - y[0]) + abs(x[1] - y[1])
 
@@ -110,8 +106,6 @@ class L1Ground(Ground):
 
 
 class LinfGround(Ground):
-    name = "linf"
-
     def dist(self, x: Point, y: Point) -> float:
         return max(abs(x[0] - y[0]), abs(x[1] - y[1]))
 
@@ -131,10 +125,9 @@ _GROUNDS = {"l1": L1Ground(), "linf": LinfGround()}
 def resolve_ground(ground: Union[str, Ground]) -> Ground:
     if isinstance(ground, Ground):
         return ground
-    try:
+    if isinstance(ground, str) and ground.lower() in _GROUNDS:
         return _GROUNDS[ground.lower()]
-    except KeyError:
-        raise ValueError(f"unknown ground metric {ground!r}") from None
+    raise ValueError(f"unknown ground metric {ground!r}")
 
 
 @dataclass(frozen=True)
@@ -143,17 +136,6 @@ class Matching:
 
     pairs: Tuple[Tuple[object, object], ...]
     cost: float
-
-    def to_json_list(self) -> list:
-        out = []
-        for left, right in self.pairs:
-            out.append(
-                {
-                    "left": None if left is DIAGONAL else list(left),
-                    "right": None if right is DIAGONAL else list(right),
-                }
-            )
-        return out
 
 
 def _as_pairs(diagram) -> List[Point]:
@@ -489,13 +471,13 @@ def _directed_hausdorff(
     best at that bound, and only then computes its lower bounds lower_row(i),
     at most each pair's bottleneck, which order its scan and end it early.
     Both bounds are candidate costs (or inf and 0 for a custom ground, whose
-    bottlenecks may be inf). A column can change the answer
-    only if its bottleneck lies strictly between the current answer and its
-    row's best so far, so each pair is evaluated in that window: one matching
-    proves it too large (the per-point bound often proves it with none), one
-    proves the row cannot raise the answer, and only values inside the
-    window are searched exactly. Every value kept is an exact candidate
-    cost, so the result equals the unpruned one.
+    bottlenecks may be inf). A column can change the answer only if its
+    bottleneck lies strictly between the current answer and its row's best so
+    far, so each pair is evaluated in that window: one matching proves it too
+    large (the per-point bound often proves it with none), one proves the row
+    cannot raise the answer, and only values inside the window are searched
+    exactly. Every value kept is an exact candidate cost, so the result equals
+    the unpruned one.
     """
     row_upper = upper.min(axis=1)
     answer = 0.0

@@ -5,7 +5,8 @@ their inputs belong to the family, compute d_IC in closed form and the
 sampled d_PD estimate with its error bound 2*delta, and report whether
 d_IC <= (estimate + bound) / 2. The paper proves d_IC <= d_PD / 2 on these
 families, so a violation signals a bug. `compare_arbitrary` records the
-ratio for any pair and is never gated.
+ratio for any pair and is never gated. Each report leaves `family` and
+`seed` at "" and -1 for the harness to fill in.
 """
 
 from __future__ import annotations
@@ -58,14 +59,11 @@ class Report:
         return asdict(self)
 
 
-def _make_report(
-    dic: float,
-    estimate: float,
-    bound: float,
-    gated: bool,
-    family: str = "",
-    seed: int = -1,
+def _distances_report(
+    g1: MetricGraph, g2: MetricGraph, delta: float, gated: bool
 ) -> Report:
+    dic = intrinsic_cech_distance(g1, g2)
+    estimate, bound = persistence_distortion(g1, g2, delta)
     threshold = 0.5 * (estimate + bound)
     if threshold > 0.0:
         ratio = dic / threshold
@@ -76,22 +74,14 @@ def _make_report(
     else:
         verdict = "INFO"
     return Report(
-        family=family,
-        seed=seed,
+        family="",
+        seed=-1,
         dic=dic,
         dpd_estimate=estimate,
         dpd_error_bound=bound,
         ratio=ratio,
         verdict=verdict,
     )
-
-
-def _distances_report(
-    g1: MetricGraph, g2: MetricGraph, delta: float, gated: bool
-) -> Report:
-    dic = intrinsic_cech_distance(g1, g2)
-    estimate, bound = persistence_distortion(g1, g2, delta)
-    return _make_report(dic, estimate, bound, gated)
 
 
 def verify_bouquet_inequality(
@@ -121,15 +111,3 @@ def compare_arbitrary(g1: MetricGraph, g2: MetricGraph, delta: float) -> Report:
     validate(g1)
     validate(g2)
     return _distances_report(g1, g2, delta, gated=False)
-
-
-def corrupted(report: Report, dic_offset: float) -> Report:
-    """Rebuild a report with a corrupted d_IC (forced-violation test fixture)."""
-    return _make_report(
-        report.dic + dic_offset,
-        report.dpd_estimate,
-        report.dpd_error_bound,
-        report.verdict != "INFO",
-        report.family,
-        report.seed,
-    )

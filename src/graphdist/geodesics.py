@@ -79,12 +79,13 @@ def geodesic_distance(g: MetricGraph, p: GraphPoint, q: GraphPoint) -> float:
 class GeodesicField:
     """Distance-from-base function, evaluated exactly.
 
-    `graph` is the input graph with the base promoted to a vertex; vertex ids
-    of the input survive unchanged and `edge_parent` maps every edge of
-    `graph` back to the input edge containing it.
+    `graph` is the input graph with the base promoted to the vertex
+    `base_vertex`; vertex ids of the input survive unchanged and `edge_parent`
+    maps every edge of `graph` back to the input edge containing it.
+    `vertex_values` and `interior_maxima` are the distances at the vertices
+    and each edge's interior maximum (offset, value), or None.
     """
 
-    base: GraphPoint
     graph: MetricGraph
     base_vertex: str
     vertex_values: Mapping[str, float]
@@ -113,7 +114,6 @@ def geodesic_field(g: MetricGraph, base: GraphPoint) -> GeodesicField:
         else:
             maxima[e.id] = None
     return GeodesicField(
-        base=base,
         graph=g2,
         base_vertex=base_vertex,
         vertex_values=values,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import replace
 from typing import List, Optional, Tuple
@@ -11,7 +10,6 @@ from .cycles import shortest_loop_system
 from .errors import GraphError
 from .feasibility import (
     compare_arbitrary,
-    corrupted,
     verify_bouquet_inequality,
     verify_tree_of_loops_inequality,
     Report,
@@ -53,14 +51,17 @@ def random_arbitrary_graph(
     )
 
 
-def pick_delta(graphs: Tuple[MetricGraph, ...], fraction: float = 0.05) -> float:
-    """fraction times the smallest half loop length, over every graph with loops."""
+DELTA_FRACTION = 0.05
+
+
+def pick_delta(graphs: Tuple[MetricGraph, ...]) -> float:
+    """DELTA_FRACTION times the smallest half loop length, over every graph with loops."""
     half_lengths = [
         h for g in graphs for h in shortest_loop_system(g).half_lengths
     ]
     if half_lengths:
-        return fraction * min(half_lengths)
-    return fraction * min(e.length for g in graphs for e in g.edges)
+        return DELTA_FRACTION * min(half_lengths)
+    return DELTA_FRACTION * min(e.length for g in graphs for e in g.edges)
 
 
 def _draw_bouquet(rng: random.Random) -> Tuple[MetricGraph, MetricGraph]:
@@ -112,7 +113,6 @@ def run_verification(
     n_instances: int,
     seed: int,
     delta: Optional[float] = None,
-    corrupt_dic: float = 0.0,
 ) -> List[Report]:
     """Run seeded instances; reports come back ordered by instance."""
     if family == "bouquet-vs-arbitrary":
@@ -121,16 +121,11 @@ def run_verification(
         raise GraphError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if n_instances < 1:
         raise GraphError(f"need at least one instance, got {n_instances!r}")
-    if not math.isfinite(corrupt_dic):
-        raise GraphError(f"corrupt_dic must be finite, got {corrupt_dic!r}")
     draw, check = _FAMILY_TABLE[family]
     reports = []
     for index in range(n_instances):
         iseed = _instance_seed(seed, index)
         g1, g2 = draw(random.Random(iseed))
         d = delta if delta is not None else pick_delta((g1, g2))
-        report = replace(check(g1, g2, d), family=family, seed=iseed)
-        if corrupt_dic:
-            report = corrupted(report, corrupt_dic)
-        reports.append(report)
+        reports.append(replace(check(g1, g2, d), family=family, seed=iseed))
     return reports

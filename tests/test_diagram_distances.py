@@ -247,16 +247,26 @@ _BELOW, _NAN, _INF = [(2.0, 1.0)], [(0.0, math.nan)], [(0.0, math.inf)]
         (lambda: hausdorff_bottleneck([_BELOW], [[(0.0, 1.0)]], "linf"), "(2.0, 1.0)"),
         (lambda: yaxis_bottleneck([math.nan], [1.0]), "nan"),
         (lambda: yaxis_bottleneck([1.0], [math.inf]), "inf"),
+        (lambda: bottleneck_value([(0.0, 1.0)], [], None), "unknown ground metric None"),
+        (lambda: bottleneck_value([(0.0, 1.0)], [], 3), "unknown ground metric 3"),
+        (lambda: bottleneck_value([(0.0, 1.0)], [], "l2"), "unknown ground metric 'l2'"),
+        (lambda: bottleneck([(0.0, 1.0)], [], None), "unknown ground metric None"),
+        (lambda: bottleneck([(0.0, 1.0)], [], 3), "unknown ground metric 3"),
+        (lambda: hausdorff_bottleneck([[(0.0, 1.0)]], [[(0.0, 2.0)]], None), "unknown ground metric None"),
+        (lambda: hausdorff_bottleneck([[(0.0, 1.0)]], [[(0.0, 2.0)]], 3), "unknown ground metric 3"),
     ],
     ids=[
         "value-below", "value-below-linf", "matching-below", "value-nan", "matching-nan",
         "value-inf", "matching-inf", "hausdorff-inf-left", "hausdorff-inf-right",
-        "hausdorff-below", "yaxis-nan", "yaxis-inf",
+        "hausdorff-below", "yaxis-nan", "yaxis-inf", "value-ground-none",
+        "value-ground-int", "value-ground-l2", "matching-ground-none", "matching-ground-int",
+        "hausdorff-ground-none", "hausdorff-ground-int",
     ],
 )
 def test_malformed_diagrams_raise_value_error(call, point):
     # a diagram point must be finite with birth <= death and a y-axis value
-    # finite; the error names the first that is not
+    # finite; the error names the first that is not. A ground must be a Ground
+    # or the name of one.
     with pytest.raises(ValueError, match=re.escape(point)):
         call()
 

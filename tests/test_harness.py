@@ -1,7 +1,7 @@
 import pytest
 
 from graphdist import GraphError, pick_delta, run_verification
-from graphdist import bouquet, named, random_metric_graph
+from graphdist import bouquet, feasibility, named, random_metric_graph
 
 
 def test_reports_are_deterministic_and_ordered():
@@ -30,9 +30,13 @@ def test_trees_family_has_zero_cech_distance():
     assert all(r.verdict == "PASS" for r in reports)
 
 
-def test_corruption_flips_verdicts():
+def test_corruption_flips_verdicts(monkeypatch):
     good = run_verification("bouquet", 2, seed=11)
-    bad = run_verification("bouquet", 2, seed=11, corrupt_dic=100.0)
+    dic = feasibility.intrinsic_cech_distance
+    monkeypatch.setattr(
+        feasibility, "intrinsic_cech_distance", lambda g1, g2: dic(g1, g2) + 100.0
+    )
+    bad = run_verification("bouquet", 2, seed=11)
     assert all(r.verdict == "PASS" for r in good)
     assert all(r.verdict == "VIOLATION" for r in bad)
     for g, b in zip(good, bad):
