@@ -57,13 +57,6 @@ def _walk_of_cycle(g: MetricGraph, edge_ids: FrozenSet[str]) -> Loop:
     Starts at the lexicographically smallest edge id for determinism.
     """
     start = g.edge_by_id[min(edge_ids)]
-    if start.is_self_loop:
-        rest = edge_ids - {start.id}
-        walk = [(start.id, 1)]
-        # a simple cycle containing a self-loop is that loop alone
-        if rest:
-            raise NotAClosedWalk(f"edge set {sorted(edge_ids)} is not a simple cycle")
-        return tuple(walk)
     walk = [(start.id, 1)]
     first, current = start.u, start.v
     unused = set(edge_ids) - {start.id}

@@ -22,17 +22,19 @@ lies strictly between the answer so far and its row's best, so each pair is
 asked about that window alone. The per-point bound or one matching settles
 most pairs (the value is at least the row's best, or at most the answer);
 only values inside the window are searched exactly (decision, then search,
-as in Efrat, Itai and Katz, 2001). For the plane grounds both bounds that
-prune are candidate costs of the search, so no rounding can put one on the
-wrong side of a computed bottleneck. The upper bound is computed for every
-pair, in row blocks over both sets stacked as arrays: the cost of a valid
-matching that pairs points in sorted order, the best of a few sort keys.
-Rows are scanned in descending order of their least upper bound, which is
-also each row's first best, and the scan stops at the first row whose bound
-is at most the answer (the early break of exact Hausdorff algorithms, Taha
-and Hanbury, 2015); on sampled diagram sets this settles most rows without a
-matching. Only a scanned row computes its lower bounds, the per-point bounds
-of its pairs, which order the row's scan and end it early.
+as in Efrat, Itai and Katz, 2001). Under any ground both bounds that prune
+come from the costs the search reads, so no rounding can put one on the wrong
+side of a computed bottleneck. Each pair is bounded from above by the cost of
+a valid matching that pairs points in sorted order, the best of a few sort
+keys, in row blocks over both sets stacked as arrays; only the least bound of
+each row and of each column is kept, so memory is linear in the set sizes and
+time is O(N1 N2 width). Rows are scanned in descending order of their least
+upper bound, which is also each row's first best, and the scan stops at the
+first row whose bound is at most the answer (the early break of exact
+Hausdorff algorithms, Taha and Hanbury, 2015); on sampled diagram sets this
+settles most rows without a matching. Only a scanned row computes its lower
+bounds, the per-point bounds of its pairs, which order the row's scan and end
+it early.
 """
 
 from __future__ import annotations
@@ -69,10 +71,11 @@ class Ground:
         raise NotImplementedError
 
     def cost_matrix(self, pts1, pts2) -> np.ndarray:
-        """Every cost dist(x, y) for x in pts1 and y in pts2, shape (n1, n2)."""
-        return np.array(
-            [[self.dist(x, y) for y in pts2] for x in pts1], dtype=float
-        ).reshape(len(pts1), len(pts2))
+        """Every cost dist(x, y) for x in pts1 and y in pts2, shape (n1, n2);
+        stacks (..., n1, 2) and (..., n2, 2) broadcast to (..., n1, n2)."""
+        p, q = _plane_points(pts1)[..., None, :], _plane_points(pts2)[..., None, :, :]
+        dist = np.frompyfunc(lambda b1, d1, b2, d2: self.dist((b1, d1), (b2, d2)), 4, 1)
+        return dist(p[..., 0], p[..., 1], q[..., 0], q[..., 1]).astype(float)
 
 
 def _abs_gaps(p: np.ndarray, q: np.ndarray, k: int) -> np.ndarray:
@@ -381,9 +384,9 @@ def _stack(
     diags: List[List[Point]], width: int, gr: Ground
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Points (N, width, 2), diagonal costs (N, width) and a mask of the real
-    points, short diagrams padded with the diagonal point (0, 0). By the
-    triangle inequality no point is closer to (0, 0) than to the diagonal, so
-    the padding moves no bound."""
+    points, short diagrams padded with (0, 0) at diagonal cost 0. A padded
+    partner can only lower a per-point bound, and under the plane metrics (by
+    the triangle inequality) it lowers none."""
     pts = np.zeros((len(diags), width, 2))
     diag = np.zeros((len(diags), width))
     for k, d in enumerate(diags):
@@ -413,27 +416,35 @@ def _sorted_stacks(
 
 
 def _pair_bounds(a: List[List[Point]], b: List[List[Point]], gr: Ground):
-    """An upper bound on the bottleneck of every pair (a[i], b[j]), for the
-    plane metrics, and the stacks that the per-point bound reads.
+    """The least upper bound on the bottlenecks of each row (a[i], b[.]) and
+    of each column (a[.], b[j]), reduced block by block, and the stacks that
+    the per-point bound reads.
 
-    The bound is the cost of a valid matching: sort both diagrams by one key
-    and pair the k-th points, each pair matched to each other or both
-    retired to the diagonal, whichever costs less; the best of several keys
-    is kept. Its entries are costs of gr.cost_matrix and gr.to_diagonal, so
-    each is a candidate of the search, bit for bit.
+    A pair's bound is the cost of a valid matching under any ground: sort
+    both diagrams by one key (padding last, so the masks of real points still
+    hold) and pair the k-th points, each pair matched to each other or both
+    retired to the diagonal, whichever costs less, and always retired if a
+    slot is padded; the best of several keys is kept. Its entries are costs
+    of gr.cost_matrix and gr.to_diagonal, so each is a candidate of the
+    search, bit for bit.
     """
     width = max(1, *map(len, a), *map(len, b))
     (pa, da, ra), (pb, db, rb) = _stack(a, width, gr), _stack(b, width, gr)
     keys = list(zip(_sorted_stacks(pa, da, ra), _sorted_stacks(pb, db, rb)))
     rows = max(1, _BLOCK_COSTS // (len(b) * width))
-    upper = np.full((len(a), len(b)), np.inf)
+    row_upper, col_upper = np.empty(len(a)), np.full(len(b), np.inf)
     for r in range(0, len(a), rows):
         R = slice(r, r + rows)
+        padded = ~(ra[R, None, :] & rb[None, :, :])
+        upper = np.inf
         for (sa, sda), (sb, sdb) in keys:
             cost = gr.cost_matrix(sa[R, None], sb[None])[..., 0, 0]
+            cost[padded] = np.inf
             retire = np.maximum(sda[R, None, :], sdb[None, :, :])
-            np.minimum(upper[R], np.minimum(cost, retire, out=cost).max(axis=2), out=upper[R])
-    return upper, (pa, da), (pb, db)
+            upper = np.minimum(upper, np.minimum(cost, retire, out=cost).max(axis=2))
+        row_upper[R] = upper.min(axis=1)
+        np.minimum(col_upper, upper.min(axis=0), out=col_upper)
+    return row_upper, col_upper, (pa, da), (pb, db)
 
 
 def _point_bound(
@@ -460,26 +471,23 @@ def _directed_hausdorff(
     from_diags: List[List[Point]],
     to_diags: List[List[Point]],
     gr: Ground,
-    upper: np.ndarray,
+    row_upper: np.ndarray,
     lower_row: Callable[[int], np.ndarray],
 ) -> float:
     """sup over from_diags of inf over to_diags of the bottleneck distance.
 
-    upper[i, j] is at least the bottleneck of the pair (i, j), and a candidate
-    cost. Rows go in descending order of their least upper bound; once that
-    is at most the answer, no row left can raise it. A scanned row starts its
-    best at that bound, and only then computes its lower bounds lower_row(i),
-    at most each pair's bottleneck, which order its scan and end it early.
-    Both bounds are candidate costs (or inf and 0 for a custom ground, whose
-    bottlenecks may be inf). A column can change the answer only if its
-    bottleneck lies strictly between the current answer and its row's best so
-    far, so each pair is evaluated in that window: one matching proves it too
-    large (the per-point bound often proves it with none), one proves the row
-    cannot raise the answer, and only values inside the window are searched
-    exactly. Every value kept is an exact candidate cost, so the result equals
-    the unpruned one.
+    row_upper[i] is at least the bottleneck of some pair of row i, and a
+    candidate cost. Rows go in descending order of it; once that is at most
+    the answer, no row left can raise it. A scanned row starts its best at
+    that bound, and only then computes its lower bounds lower_row(i), at most
+    each pair's bottleneck, which order its scan and end it early. A column
+    can change the answer only if its bottleneck lies strictly between the
+    current answer and its row's best so far, so each pair is evaluated in
+    that window: one matching proves it too large (the per-point bound often
+    proves it with none), one proves the row cannot raise the answer, and
+    only values inside the window are searched exactly. Every value kept is
+    an exact candidate cost, so the result equals the unpruned one.
     """
-    row_upper = upper.min(axis=1)
     answer = 0.0
     for i in np.argsort(-row_upper, kind="stable").tolist():
         best = float(row_upper[i])
@@ -507,15 +515,8 @@ def hausdorff_bottleneck(
     gr = resolve_ground(ground)
     a = [_as_pairs(d) for d in s1]
     b = [_as_pairs(d) for d in s2]
-    if not isinstance(gr, (L1Ground, LinfGround)):
-        # other grounds scan every row, in order, from unbounded bests
-        upper = np.full((len(a), len(b)), np.inf)
-        return max(
-            _directed_hausdorff(a, b, gr, upper, lambda i: np.zeros(len(b))),
-            _directed_hausdorff(b, a, gr, upper.T, lambda j: np.zeros(len(a))),
-        )
-    upper, (pa, da), (pb, db) = _pair_bounds(a, b, gr)
+    row_upper, col_upper, (pa, da), (pb, db) = _pair_bounds(a, b, gr)
     return max(
-        _directed_hausdorff(a, b, gr, upper, lambda i: _point_bound(pa[i], da[i], pb, db, gr)),
-        _directed_hausdorff(b, a, gr, upper.T, lambda j: _point_bound(pb[j], db[j], pa, da, gr)),
+        _directed_hausdorff(a, b, gr, row_upper, lambda i: _point_bound(pa[i], da[i], pb, db, gr)),
+        _directed_hausdorff(b, a, gr, col_upper, lambda j: _point_bound(pb[j], db[j], pa, da, gr)),
     )

@@ -78,6 +78,9 @@ class MetricGraph:
                 raise GraphFormatError(
                     f"edge {e.id!r} has non-finite length {e.length!r}"
                 )
+        # geodesic and cut values reach twice the total length (fsum raises)
+        if not math.isfinite(2.0 * sum(e.length for e in self.edges)):
+            raise GraphFormatError("twice the total edge length overflows a float")
 
     @cached_property
     def edge_by_id(self) -> Mapping[str, Edge]:
@@ -258,17 +261,15 @@ def subdivide(
 def perturb_to_generic(g: MetricGraph, epsilon: float, seed: int) -> MetricGraph:
     """Multiply each length by (1 + uniform(0, epsilon)), deterministically.
 
-    Length distortion is below epsilon * max edge length, so the perturbed
-    graph stays within that Gromov-Hausdorff-style bound of the input.
+    Every geodesic distance d becomes some d' with d <= d' <= (1 + epsilon) d,
+    so the Gromov-Hausdorff distance to the input is at most
+    epsilon * diameter / 2.
     """
     if not (epsilon > 0.0):
         raise ValueError("epsilon must be > 0")
     rng = random.Random(seed)
-    edges = tuple(
-        Edge(e.id, e.u, e.v, e.length * (1.0 + rng.uniform(0.0, epsilon)))
-        for e in g.edges
-    )
-    return MetricGraph(g.vertices, edges)
+    edges = [(e.id, e.u, e.v, e.length * (1.0 + rng.uniform(0.0, epsilon))) for e in g.edges]
+    return MetricGraph.build(g.vertices, edges)
 
 
 def to_json_dict(g: MetricGraph) -> dict:

@@ -6,10 +6,12 @@ enumeration), and the cycle-basis oracle enumerates every independent subset
 of all loops of the graph. `kuhn_bottleneck_value` keeps the earlier
 recursive-matching bottleneck as a differential oracle for the iterative one,
 `pruned_hausdorff` the earlier Hausdorff that ran a full bottleneck for every
-pair it did not prune, `_bound_matrix` the lower bound that the Hausdorff
-once computed for every pair (the only home left of the diagonal-profile
-bound), `_point_bound_matrix` its per-point term, which every row the
-Hausdorff scans must reproduce, `smooth_degree_two` the earlier smoothing loop
+pair it did not prune, `_upper_bound_matrix` the upper bound it once kept
+for every pair, whose row and column minima the Hausdorff must reproduce,
+`_bound_matrix` the lower bound that the Hausdorff once computed for every
+pair (the only home left of the diagonal-profile bound),
+`_point_bound_matrix` its per-point term, which every row the Hausdorff scans
+must reproduce, `smooth_degree_two` the earlier smoothing loop
 that decided `is_bouquet`, and `matrix_extended_persistence_1d` the earlier
 extended persistence by coned boundary-matrix reduction.
 `networkx_loop_lengths` takes the shortest loop lengths from networkx's
@@ -250,6 +252,31 @@ def _bound_matrix(a: List[List[Point]], b: List[List[Point]], gr: Ground) -> np.
     slack = 16 * np.finfo(float).eps * max(da.max(), db.max())
     profile = np.abs(fa[:, None, :] - fb[None, :, :]).max(axis=2) - slack
     return np.maximum(_point_bound_matrix(a, b, gr), profile)
+
+
+def _upper_bound_matrix(a: List[List[Point]], b: List[List[Point]], gr: Ground) -> np.ndarray:
+    """The upper bound that the Hausdorff once kept for every pair (a[i], b[j])
+    as a full matrix, for the plane metrics, in one broadcast: the cost of the
+    valid matching that sorts both diagrams by one key (persistence
+    descending, birth, death, birth + death; padding last) and pairs the k-th
+    points, each pair matched or both retired, whichever costs less, the best
+    of the keys. Under the plane metrics a padded partner never beats
+    retiring, so the padding moves no entry."""
+    (pa, da), (pb, db) = _stacks(a, b, gr)
+
+    def by_key(pts, diag, diags, key):
+        real = np.arange(pts.shape[1]) < np.array([len(d) for d in diags])[:, None]
+        keys = np.where(real, key(pts[..., 0], pts[..., 1]), np.inf)
+        order = np.argsort(keys, axis=1, kind="stable")
+        return np.take_along_axis(pts, order[..., None], 1), np.take_along_axis(diag, order, 1)
+
+    upper = np.full((len(a), len(b)), np.inf)
+    for key in (lambda x, y: x - y, lambda x, y: x, lambda x, y: y, lambda x, y: x + y):
+        (sa, sda), (sb, sdb) = by_key(pa, da, a, key), by_key(pb, db, b, key)
+        cost = gr.cost_matrix(sa[:, None, :, None], sb[None, :, :, None])[..., 0, 0]
+        retire = np.maximum(sda[:, None, :], sdb[None, :, :])
+        upper = np.minimum(upper, np.minimum(cost, retire).max(axis=2))
+    return upper
 
 
 @dataclass(frozen=True)

@@ -259,6 +259,36 @@ def test_undecodable_graph_file_exits_two_with_one_error_line(tmp_path, capsys, 
     assert "Traceback" not in err[0]
 
 
+#: a 9e307 edge and a self-loop of length 1: every length is finite, but
+#: twice their sum is not
+_NEAR_FLOAT_LIMIT = {
+    "vertices": ["a", "b"],
+    "edges": [
+        {"id": "e", "u": "a", "v": "b", "length": 9e307},
+        {"id": "s", "u": "b", "v": "b", "length": 1.0},
+    ],
+}
+
+
+@pytest.mark.parametrize("command", ["generate", "loops", "dic", "diagram", "dpd"])
+def test_lengths_near_the_float_limit_exit_two(tmp_path, bouquet_path, capsys, command):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(_NEAR_FLOAT_LIMIT))
+    big = str(path)
+    argv = {
+        "generate": ["generate", "--random", "4,6,1e307,1.7e308", "--out", big],
+        "loops": ["loops", "--graph", big],
+        "dic": ["dic", "--graph", big, "--graph2", bouquet_path],
+        "diagram": ["diagram", "--graph", big, "--base", "a"],
+        "dpd": ["dpd", "--graph", bouquet_path, "--graph2", big, "--delta", "1e307"],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert captured.out == ""
+
+
 def test_dpd_tiny_delta_fails_fast(bouquet_path, capsys):
     start = time.perf_counter()
     code = main(["dpd", "--graph", bouquet_path, "--graph2", bouquet_path,

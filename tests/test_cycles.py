@@ -15,7 +15,7 @@ from graphdist import (
     shortest_loop_system,
     tree_of_loops,
 )
-from graphdist.cycles import _parent_edges
+from graphdist.cycles import _parent_edges, _walk_of_cycle
 from graphdist.harness import random_tree_of_loops_spec
 
 from oracles import (
@@ -156,6 +156,15 @@ def test_cycle_metrics_rejects_open_walks():
         cycle_metrics(g, ["e1"], f)
     with pytest.raises(NotAClosedWalk):
         cycle_metrics(g, [], f)
+
+
+def test_walk_of_a_self_loop_is_that_loop_alone():
+    g = named("dumbbell:2,1,3")
+    assert _walk_of_cycle(g, frozenset({"loopA"})) == (("loopA", 1),)
+    # a self-loop plus other edges is no simple cycle, whichever comes first
+    for edge_ids in ({"loopA", "bar"}, {"loopA", "loopB"}, {"bar", "loopB"}):
+        with pytest.raises(NotAClosedWalk):
+            _walk_of_cycle(g, frozenset(edge_ids))
 
 
 def test_shortest_loop_max_value_is_at_least_half_length():

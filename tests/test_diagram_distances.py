@@ -36,6 +36,7 @@ from graphdist.diagram_distances import (
 from oracles import (
     _bound_matrix,
     _point_bound_matrix,
+    _upper_bound_matrix,
     brute_bottleneck,
     brute_bottleneck_enum,
     kuhn_bottleneck_value,
@@ -417,21 +418,24 @@ def _bound_cases():
 
 
 def test_bound_matrix_is_below_every_bottleneck(monkeypatch):
-    # the upper bounds of _pair_bounds and the slackened lower bounds that
-    # oracles.pruned_hausdorff prunes with bracket every bottleneck
+    # the upper bounds of oracles._upper_bound_matrix and the slackened lower
+    # bounds that oracles.pruned_hausdorff prunes with bracket every
+    # bottleneck, and _pair_bounds keeps that matrix's row and column minima
     for s1, s2 in _bound_cases():
         for gr in (L1Ground(), LinfGround()):
-            upper, _, _ = _pair_bounds(s1, s2, gr)
+            upper = _upper_bound_matrix(s1, s2, gr)
             lower = _bound_matrix(s1, s2, gr)
             assert lower.shape == upper.shape == (len(s1), len(s2))
             for i, a in enumerate(s1):
                 for j, b in enumerate(s2):
                     assert lower[i, j] <= bottleneck_value(a, b, gr) <= upper[i, j]
-            # tiny blocks split the rows; the entries stay the same
-            monkeypatch.setattr(diagram_distances, "_BLOCK_COSTS", 7)
-            small_upper, _, _ = _pair_bounds(s1, s2, gr)
-            assert (small_upper == upper).all()
-            monkeypatch.undo()
+            # tiny blocks split the rows; the minima stay the same
+            for block in (diagram_distances._BLOCK_COSTS, 7):
+                monkeypatch.setattr(diagram_distances, "_BLOCK_COSTS", block)
+                row_upper, col_upper, _, _ = _pair_bounds(s1, s2, gr)
+                assert (row_upper == upper.min(axis=1)).all()
+                assert (col_upper == upper.min(axis=0)).all()
+                monkeypatch.undo()
 
 
 def test_scanned_row_bounds_equal_the_bound_matrix(monkeypatch):
@@ -489,6 +493,39 @@ def test_hausdorff_keeps_rows_whose_bottlenecks_are_all_infinite():
         assert hausdorff_bottleneck(s1, s2, gr) == math.inf
         assert hausdorff_bottleneck(s2, s1, gr) == math.inf
         assert pruned_hausdorff(s1, s2, gr) == math.inf
+
+
+class FlatPartnerGround(Ground):
+    """Every partner costs 0.1 and retiring costs d - b: a padded slot taken
+    for a partner would undercut retiring."""
+
+    def dist(self, x, y):
+        return 0.1
+
+    def to_diagonal(self, x):
+        return x[1] - x[0]
+
+
+def test_pair_bounds_never_match_a_padded_slot():
+    # (0, 2) takes the one partner and (0, 1) must retire; matching (0, 1)
+    # to the padding of the shorter diagram would bound the pair by 0.1
+    s1, s2 = [[(0.0, 1.0), (0.0, 2.0)]], [[(0.0, 1.0)]]
+    gr = FlatPartnerGround()
+    assert hausdorff_bottleneck(s1, s2, gr) == 1.0 == pruned_hausdorff(s1, s2, gr)
+
+
+def test_hausdorff_memory_is_linear_in_the_set_sizes():
+    # 1249 x 1499 diagrams: a full matrix of pair bounds alone takes 15 MB
+    s1, s2 = _phi_sets([bouquet([2.0, 3.0]), bouquet([2.5, 3.5])], 0.004)
+    assert (len(s1), len(s2)) == (1249, 1499)
+    tracemalloc.start()
+    try:
+        value = hausdorff_bottleneck(s1, s2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == 0.7460000000000002
+    assert peak < 5e6
 
 
 def test_upper_bounds_settle_most_rows(monkeypatch):

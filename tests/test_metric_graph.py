@@ -20,11 +20,13 @@ from graphdist import (
     named,
     parse_point,
     perturb_to_generic,
+    random_metric_graph,
     save_graph,
     subdivide,
     to_json_dict,
     validate,
 )
+from graphdist.geodesics import dijkstra
 
 
 def test_validate_single_vertex_ok():
@@ -186,6 +188,38 @@ def test_perturb_deterministic_and_bounded():
     assert [e.length for e in a.edges] == [e.length for e in b.edges]
     for e0, e1 in zip(g.edges, a.edges):
         assert e0.length <= e1.length < e0.length * 1.01
+
+
+def test_perturb_stretches_each_distance_by_at_most_epsilon():
+    # d <= d' <= (1 + epsilon) d for every pair of vertices, so the
+    # Gromov-Hausdorff distance is at most epsilon * diameter / 2
+    for seed in range(8):
+        g = random_metric_graph(8, 14, (0.5, 2.0), seed=seed)
+        for epsilon in (0.05, 0.5):
+            h = perturb_to_generic(g, epsilon, seed)
+            for v in g.vertices:
+                before, after = dijkstra(g, v), dijkstra(h, v)
+                for w in g.vertices:
+                    assert before[w] <= after[w] <= (1.0 + epsilon) * before[w]
+    # a path of 20 unit edges: the ends move apart by far more than
+    # epsilon times the longest edge
+    path = MetricGraph.build(
+        [f"v{i}" for i in range(21)], [(f"e{i}", f"v{i}", f"v{i + 1}", 1.0) for i in range(20)]
+    )
+    stretched = dijkstra(perturb_to_generic(path, 0.05, 3), "v0")["v20"]
+    assert 0.052 < stretched - 20.0 <= 0.05 * 20.0
+
+
+def test_lengths_whose_doubled_sum_overflows_are_rejected():
+    with pytest.raises(GraphFormatError):
+        MetricGraph.build(["a", "b"], [("e", "a", "b", 9e307), ("s", "b", "b", 1.0)])
+    with pytest.raises(GraphFormatError):
+        random_metric_graph(4, 6, (1e307, 1.7e308), seed=0)
+    g = MetricGraph.build(["a", "b"], [("e", "a", "b", 8.9e307)])
+    validate(g)
+    # the perturbed graph goes through the same check
+    with pytest.raises(GraphFormatError):
+        perturb_to_generic(g, 0.5, seed=1)
 
 
 def test_graph_json_roundtrip(tmp_path):
