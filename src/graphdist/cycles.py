@@ -98,61 +98,54 @@ def _parent_edges(g: MetricGraph, root: str) -> Dict[str, str]:
 
 
 def shortest_loop_system(g: MetricGraph) -> LoopSystem:
-    """Compute the minimum-weight cycle basis; trees give the empty system."""
+    """Compute the minimum-weight cycle basis; trees give the empty system.
+    Every edge set is an int whose bit i stands for g.edges[i]."""
     n = first_betti(g)
     if n <= 0:
         return LoopSystem((), ())
 
-    candidates: Dict[FrozenSet[str], float] = {}
+    bit = {e.id: 1 << i for i, e in enumerate(g.edges)}
+    candidates = set()
     for root in g.vertices:
         parent_edge = _parent_edges(g, root)
-        path_edges: Dict[str, FrozenSet[str]] = {root: frozenset()}
+        path = {root: 0}
 
-        def path_of(x: str) -> FrozenSet[str]:
-            if x in path_edges:
-                return path_edges[x]
+        def path_of(x: str) -> int:
             chain = []
-            y = x
-            while y not in path_edges:
-                chain.append(y)
-                eid = parent_edge[y]
-                y = g.edge_by_id[eid].other(y)
-            acc = set(path_edges[y])
+            while x not in path:
+                chain.append(x)
+                x = g.edge_by_id[parent_edge[x]].other(x)
+            acc = path[x]
             for z in reversed(chain):
-                eid = parent_edge[z]
-                acc.symmetric_difference_update((eid,))
-                path_edges[z] = frozenset(acc)
-            return path_edges[x]
+                acc ^= bit[parent_edge[z]]
+                path[z] = acc
+            return acc
 
         for e in g.edges:
-            cyc = path_of(e.u) ^ path_of(e.v) ^ {e.id}
-            if not cyc:
-                continue
-            if cyc not in candidates:
-                candidates[cyc] = math.fsum(g.edge_by_id[i].length for i in cyc)
+            candidates.add(path_of(e.u) ^ path_of(e.v) ^ bit[e.id])
+    candidates.discard(0)
 
-    edge_index = {e.id: i for i, e in enumerate(g.edges)}
-    ordered = sorted(
-        candidates.items(), key=lambda kv: (kv[1], tuple(sorted(kv[0])))
-    )
+    def key(mask: int) -> Tuple[float, Tuple[str, ...]]:
+        es = []
+        while mask:
+            low = mask & -mask
+            es.append(g.edges[low.bit_length() - 1])
+            mask ^= low
+        return math.fsum(e.length for e in es), tuple(sorted(e.id for e in es))
+
     pivots: Dict[int, int] = {}
     loops: List[Loop] = []
     lengths: List[float] = []
-    for cyc, length in ordered:
-        mask = 0
-        for eid in cyc:
-            mask |= 1 << edge_index[eid]
-        r = mask
-        while r:
-            b = r.bit_length() - 1
-            if b in pivots:
-                r ^= pivots[b]
-            else:
+    for (length, ids), mask in sorted((key(c), c) for c in candidates):
+        while mask:
+            b = mask.bit_length() - 1
+            if b not in pivots:
                 break
-        if r == 0:
+            mask ^= pivots[b]
+        if mask == 0:
             continue
-        pivots[r.bit_length() - 1] = r
-        loops.append(_walk_of_cycle(g, cyc))
+        pivots[b] = mask
+        loops.append(_walk_of_cycle(g, frozenset(ids)))
         lengths.append(length)
         if len(loops) == n:
             break

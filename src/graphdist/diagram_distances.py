@@ -141,17 +141,28 @@ class Matching:
     cost: float
 
 
-def _as_pairs(diagram) -> List[Point]:
-    """The (birth, death) points of a diagram; each must be finite with
-    birth <= death, or ValueError names the first that is not."""
-    if hasattr(diagram, "pairs"):
-        pts = [tuple(p) for p in diagram.pairs()]
-    else:
-        pts = [(float(b), float(d)) for b, d in diagram]
-    bad = next((p for p in pts if not -math.inf < p[0] <= p[1] < math.inf), None)
-    if bad is not None:
-        raise ValueError(f"diagram point {bad!r} is not finite with birth <= death")
-    return pts
+def _as_pairs(*diagrams) -> List[List[Point]]:
+    """The (birth, death) points of each diagram; each must be finite with
+    birth <= death, or ValueError names the first that is not. ValueError
+    also unless twice the spread and twice the largest magnitude of all
+    coordinates are finite, so that no cost or sort key overflows; graph
+    diagrams lie in [0, total length], whose double MetricGraph.build keeps
+    finite."""
+    out = []
+    for diagram in diagrams:
+        if hasattr(diagram, "pairs"):
+            pts = [tuple(p) for p in diagram.pairs()]
+        else:
+            pts = [(float(b), float(d)) for b, d in diagram]
+        bad = next((p for p in pts if not -math.inf < p[0] <= p[1] < math.inf), None)
+        if bad is not None:
+            raise ValueError(f"diagram point {bad!r} is not finite with birth <= death")
+        out.append(pts)
+    lo = min((p[0] for pts in out for p in pts), default=0.0)
+    hi = max((p[1] for pts in out for p in pts), default=0.0)
+    if not (math.isfinite(2.0 * (hi - lo)) and math.isfinite(2.0 * max(hi, -lo))):
+        raise ValueError(f"diagram coordinates from {lo!r} to {hi!r} overflow the costs")
+    return out
 
 
 def max_matching(
@@ -335,7 +346,7 @@ def bottleneck(
 ) -> Tuple[float, Matching]:
     """Exact bottleneck distance and an optimal matching between two diagrams."""
     gr = resolve_ground(ground)
-    pts1, pts2 = _as_pairs(d1), _as_pairs(d2)
+    pts1, pts2 = _as_pairs(d1, d2)
     value, match_l = _bottleneck_value(pts1, pts2, gr)
     n1, n2 = len(pts1), len(pts2)
     pairs: List[Tuple[object, object]] = []
@@ -350,7 +361,7 @@ def bottleneck(
 
 def bottleneck_value(d1, d2, ground: Union[str, Ground] = "l1") -> float:
     gr = resolve_ground(ground)
-    value, _ = _bottleneck_value(_as_pairs(d1), _as_pairs(d2), gr)
+    value, _ = _bottleneck_value(*_as_pairs(d1, d2), gr)
     return value
 
 
@@ -513,8 +524,8 @@ def hausdorff_bottleneck(
     if not s1 or not s2:
         raise EmptySet("hausdorff_bottleneck needs nonempty diagram sets")
     gr = resolve_ground(ground)
-    a = [_as_pairs(d) for d in s1]
-    b = [_as_pairs(d) for d in s2]
+    pts = _as_pairs(*s1, *s2)
+    a, b = pts[: len(s1)], pts[len(s1) :]
     row_upper, col_upper, (pa, da), (pb, db) = _pair_bounds(a, b, gr)
     return max(
         _directed_hausdorff(a, b, gr, row_upper, lambda i: _point_bound(pa[i], da[i], pb, db, gr)),

@@ -34,13 +34,10 @@ def is_bouquet(g: MetricGraph) -> bool:
 
 def is_tree_of_loops(g: MetricGraph) -> bool:
     """Wedge-sum composition of cycles and edges == pairwise edge-disjoint
-    shortest-system loops (every block is a bridge or a cycle)."""
+    shortest-system loops (every block is a bridge or a cycle): disjoint
+    exactly when their union is as large as their sizes summed."""
     sets = shortest_loop_system(g).edge_sets()
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            if sets[i] & sets[j]:
-                return False
-    return True
+    return len(frozenset().union(*sets)) == sum(map(len, sets))
 
 
 @dataclass(frozen=True)

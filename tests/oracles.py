@@ -14,6 +14,9 @@ pair (the only home left of the diagonal-profile bound),
 must reproduce, `smooth_degree_two` the earlier smoothing loop
 that decided `is_bouquet`, and `matrix_extended_persistence_1d` the earlier
 extended persistence by coned boundary-matrix reduction.
+`frozenset_loop_system` keeps the earlier shortest system of loops, whose
+edge sets were frozensets of ids, and `pairwise_is_tree_of_loops` the earlier
+recognizer that compared every pair of its loops.
 `networkx_loop_lengths` takes the shortest loop lengths from networkx's
 minimum cycle basis.
 
@@ -49,7 +52,7 @@ from graphdist import (
     geodesic_distance,
     tree_of_loops_parts,
 )
-from graphdist.cycles import LoopSystem
+from graphdist.cycles import LoopSystem, _parent_edges, _walk_of_cycle, first_betti
 from graphdist.diagram_distances import Ground, L1Ground, LinfGround, max_matching, resolve_ground
 from graphdist.geodesics import GeodesicField, dijkstra, geodesic_field
 from graphdist.harness import _instance_seed, random_arbitrary_graph
@@ -575,6 +578,80 @@ def brute_lex_min_length_sequence(g: MetricGraph) -> Tuple[float, ...]:
             best = seq
     assert best is not None, "graph has no basis?"
     return best
+
+
+def frozenset_loop_system(g: MetricGraph) -> LoopSystem:
+    """The earlier shortest system of loops, every edge set a frozenset of
+    ids, rebuilt as an int mask only for the independence test."""
+    n = first_betti(g)
+    if n <= 0:
+        return LoopSystem((), ())
+
+    candidates: Dict[frozenset, float] = {}
+    for root in g.vertices:
+        parent_edge = _parent_edges(g, root)
+        path_edges: Dict[str, frozenset] = {root: frozenset()}
+
+        def path_of(x: str) -> frozenset:
+            if x in path_edges:
+                return path_edges[x]
+            chain = []
+            y = x
+            while y not in path_edges:
+                chain.append(y)
+                eid = parent_edge[y]
+                y = g.edge_by_id[eid].other(y)
+            acc = set(path_edges[y])
+            for z in reversed(chain):
+                eid = parent_edge[z]
+                acc.symmetric_difference_update((eid,))
+                path_edges[z] = frozenset(acc)
+            return path_edges[x]
+
+        for e in g.edges:
+            cyc = path_of(e.u) ^ path_of(e.v) ^ {e.id}
+            if not cyc:
+                continue
+            if cyc not in candidates:
+                candidates[cyc] = math.fsum(g.edge_by_id[i].length for i in cyc)
+
+    edge_index = {e.id: i for i, e in enumerate(g.edges)}
+    ordered = sorted(
+        candidates.items(), key=lambda kv: (kv[1], tuple(sorted(kv[0])))
+    )
+    pivots: Dict[int, int] = {}
+    loops = []
+    lengths = []
+    for cyc, length in ordered:
+        mask = 0
+        for eid in cyc:
+            mask |= 1 << edge_index[eid]
+        r = mask
+        while r:
+            b = r.bit_length() - 1
+            if b in pivots:
+                r ^= pivots[b]
+            else:
+                break
+        if r == 0:
+            continue
+        pivots[r.bit_length() - 1] = r
+        loops.append(_walk_of_cycle(g, cyc))
+        lengths.append(length)
+        if len(loops) == n:
+            break
+    return LoopSystem(tuple(loops), tuple(lengths))
+
+
+def pairwise_is_tree_of_loops(g: MetricGraph) -> bool:
+    """The earlier recognizer: no two shortest-system loops share an edge,
+    checked pair by pair."""
+    sets = frozenset_loop_system(g).edge_sets()
+    for i in range(len(sets)):
+        for j in range(i + 1, len(sets)):
+            if sets[i] & sets[j]:
+                return False
+    return True
 
 
 def hall_condition_holds(adjacency: List[List[int]]) -> bool:

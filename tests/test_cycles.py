@@ -5,6 +5,7 @@ import pytest
 
 from graphdist import (
     GraphPoint,
+    is_tree_of_loops,
     MetricGraph,
     NotAClosedWalk,
     bouquet,
@@ -21,7 +22,9 @@ from graphdist.harness import random_tree_of_loops_spec
 from oracles import (
     brute_lex_min_length_sequence,
     cycle_metrics,
+    frozenset_loop_system,
     networkx_loop_lengths,
+    pairwise_is_tree_of_loops,
     random_base_point,
     shortest_path_tree,
 )
@@ -226,3 +229,28 @@ def test_parent_edges_match_tie_aware_shortest_path_tree():
             assert _parent_edges(g, root) == spt.parent_edge
             roots += 1
     assert roots > 3000
+
+
+def _shuffled(g: MetricGraph, rng: random.Random) -> MetricGraph:
+    """Edges in a random order under fresh random ids, so that an edge's bit
+    and its id's rank in sorted order disagree."""
+    names = rng.sample(range(100), len(g.edges))
+    edges = [(f"x{k}", e.u, e.v, e.length) for k, e in zip(names, g.edges)]
+    return MetricGraph.build(g.vertices, rng.sample(edges, len(edges)))
+
+
+def test_int_mask_loop_system_equals_the_frozenset_one():
+    # all-equal lengths, self-loops, parallel edges, trees, bouquets and trees
+    # of loops, each as built and with its edges shuffled and renamed
+    rng = random.Random(24)
+    graphs = loops = 0
+    for g in _parent_edge_graphs():
+        for h in (g, _shuffled(g, rng)):
+            expected = frozenset_loop_system(h)
+            got = shortest_loop_system(h)
+            assert got.loops == expected.loops
+            assert got.lengths == expected.lengths
+            assert is_tree_of_loops(h) == pairwise_is_tree_of_loops(h)
+            graphs += 1
+            loops += len(got)
+    assert graphs > 2000 and loops > 4500

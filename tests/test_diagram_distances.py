@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from graphdist import (
     DIAGONAL,
     EmptySet,
+    MetricGraph,
     NegativeValue,
     bottleneck,
     bottleneck_value,
@@ -270,6 +271,47 @@ def test_malformed_diagrams_raise_value_error(call, point):
     # or the name of one.
     with pytest.raises(ValueError, match=re.escape(point)):
         call()
+
+
+_WIDE = [(-1e308, 1e308)]  # finite, but its diagonal cost d - b is not
+_HIGH = ([(1e308, 1.5e308)], [(1.7e308, 1.7e308)])  # birth + death is not
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bottleneck_value(_WIDE, [(0.0, 1.0)]),
+        lambda: bottleneck(_WIDE, [(0.0, 1.0)], "linf"),
+        lambda: hausdorff_bottleneck([_WIDE], [[(0.0, 1.0)]]),
+        lambda: hausdorff_bottleneck([_HIGH[0]], [_HIGH[1]]),
+        lambda: hausdorff_bottleneck([[(0.0, 1.0)]], [_HIGH[0], _HIGH[1]], "linf"),
+    ],
+    ids=["value-wide", "matching-wide", "hausdorff-wide", "hausdorff-high", "hausdorff-high-linf"],
+)
+def test_points_whose_costs_overflow_raise_value_error(call):
+    # at the parent the first returned inf and the Hausdorffs warned of overflow
+    with pytest.raises(ValueError, match="overflow"):
+        call()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_graph_diagrams_near_the_float_limit_pass():
+    # twice each total length is just below the float limit, which
+    # MetricGraph.build allows, and every diagram value is at most that length
+    g = bouquet([4e307, 4.9e307])
+    h = MetricGraph.build(
+        ["a", "b"], [("l", "a", "a", 3e307), ("bar", "a", "b", 2e307), ("m", "b", "b", 3.9e307)]
+    )
+    assert math.isfinite(2.0 * g.total_length) and 2.0 * h.total_length > 1.7e308
+    p, q = sample_phi(g, 1e307).diagrams(), sample_phi(h, 1e307).diagrams()
+    for ground in ("l1", "linf"):
+        assert math.isfinite(hausdorff_bottleneck(p, q, ground))
+        for x in p:
+            for y in q:
+                value, matching = bottleneck(x, y, ground)
+                assert value == matching.cost == bottleneck_value(x, y, ground)
+                assert math.isfinite(value)
 
 
 # --------------------------------------------------------------------- y-axis

@@ -13,10 +13,12 @@ from graphdist import (
     bouquet,
     intrinsic_cech_diagram,
     intrinsic_cech_distance,
+    is_tree_of_loops,
     named,
     persistence_distortion,
     random_metric_graph,
     sample_phi,
+    shortest_loop_system,
     tree_of_loops,
     yaxis_bottleneck,
 )
@@ -147,6 +149,29 @@ def test_distortion_refinement_changes_estimate_by_at_most_3delta():
         e3, _ = persistence_distortion(g1, g2, delta / 4)
         assert abs(e1 - e2) <= 3 * delta + 1e-9
         assert abs(e2 - e3) <= 3 * (delta / 2) + 1e-9
+
+
+def test_distortion_against_a_tree_is_the_largest_half_length():
+    # A tree's diagrams are all empty, so each bottleneck is the largest
+    # diagonal cost of G's diagram, and the largest of those over G's points
+    # is half the longest shortest-system loop, max half_length(G).
+    rng = random.Random(5)
+    not_trees_of_loops = 0
+    for k in range(30):
+        n = rng.randint(3, 6)
+        g = random_metric_graph(n, rng.randint(n, n + 3), (1.0, 2.0), seed=900 + k)
+        nt = rng.randint(1, 5)
+        tree = random_metric_graph(nt, nt - 1, (1.0, 2.0), seed=700 + k)
+        target = max(shortest_loop_system(g).half_lengths)
+        runs = {}
+        for delta in (0.3, 0.15, 0.07):
+            estimate, bound = persistence_distortion(g, tree, delta)
+            assert abs(estimate - target) <= bound, (k, delta)
+            runs[delta] = estimate, bound
+        (coarse, coarse_bound), (fine, fine_bound) = runs[0.3], runs[0.15]
+        assert abs(coarse - fine) <= coarse_bound + fine_bound
+        not_trees_of_loops += not is_tree_of_loops(g)
+    assert not_trees_of_loops >= 10
 
 
 def test_scale_equivariance():

@@ -7,13 +7,31 @@ delta by 4 scales the estimate by exactly 4, since a power-of-two scale
 commutes with the +, -, min, max and halving of the pipeline; and renaming
 every id and shuffling both lists changes neither the estimate nor d_IC, so
 no value hangs on how ties between ids break.
+
+Two bounds need no true d_PD either. Across graphs: a perturbation that
+stretches every length by at most a factor 1 + eps changes each distance
+function by at most eps times its largest value, so by stability of extended
+persistence (Cohen-Steiner, Edelsbrunner and Harer, 2009) the sup-metric
+bottleneck from a shared vertex is at most that much. Reversing an edge gives
+the same metric graph with other samples, so the estimate moves by at most
+the sum of both error bounds.
 """
 
 import random
 
 import pytest
 
-from graphdist import MetricGraph, intrinsic_cech_distance, random_metric_graph, sample_phi
+from graphdist import (
+    GraphPoint,
+    MetricGraph,
+    bottleneck_value,
+    extended_persistence_1d,
+    geodesic_field,
+    intrinsic_cech_distance,
+    perturb_to_generic,
+    random_metric_graph,
+    sample_phi,
+)
 from graphdist.graph_distances import persistence_distortion_from_samples
 
 DELTA = 0.3
@@ -34,6 +52,15 @@ def renamed(g: MetricGraph, rng: random.Random) -> MetricGraph:
     )
 
 
+def reversed_edge(g: MetricGraph, rng: random.Random) -> MetricGraph:
+    """g with one random edge's ends swapped, so its samples count from the
+    other end; a self-loop's samples mirror along the loop."""
+    k = rng.randrange(len(g.edges))
+    edges = [(e.id, e.v, e.u, e.length) if i == k else (e.id, e.u, e.v, e.length)
+             for i, e in enumerate(g.edges)]
+    return MetricGraph.build(g.vertices, edges)
+
+
 def _pairs():
     rng = random.Random(1105)
     for k in range(30):
@@ -44,9 +71,10 @@ def _pairs():
 
 @pytest.fixture(scope="module")
 def cases():
-    """Per pair: the sample sets of G and H, of 4G and 4H at 4 delta and of
-    both renamed, and d_IC of G, H and of the renamed pair."""
-    rng = random.Random(2211)
+    """Per pair: the sample sets of G and H, of 4G and 4H at 4 delta, of both
+    renamed and of G with one edge reversed, and d_IC of G, H and of the
+    renamed pair."""
+    rng, flip = random.Random(2211), random.Random(3307)
     out = []
     for g, h in _pairs():
         g2, h2 = renamed(g, rng), renamed(h, rng)
@@ -54,6 +82,7 @@ def cases():
             "phi": (sample_phi(g, DELTA), sample_phi(h, DELTA)),
             "phi4": (sample_phi(scaled(g, 4.0), 4 * DELTA), sample_phi(scaled(h, 4.0), 4 * DELTA)),
             "renamed": (sample_phi(g2, DELTA), sample_phi(h2, DELTA)),
+            "reversed": sample_phi(reversed_edge(g, flip), DELTA),
             "dic": (intrinsic_cech_distance(g, h), intrinsic_cech_distance(g2, h2)),
         })
     return out
@@ -82,3 +111,37 @@ def test_renaming_and_shuffling_change_no_value(cases, ground):
         assert _est(*case["renamed"], ground) == _est(*case["phi"], ground)
         dic, dic_renamed = case["dic"]
         assert dic_renamed == dic
+
+
+@pytest.mark.parametrize("ground", ["l1", "linf"])
+def test_reversing_an_edge_moves_the_estimate_within_both_bounds(cases, ground):
+    for case in cases:
+        p, q = case["phi"]
+        estimate, bound = persistence_distortion_from_samples(p, q, ground)
+        moved, moved_bound = persistence_distortion_from_samples(case["reversed"], q, ground)
+        assert abs(moved - estimate) <= bound + moved_bound
+
+
+def _largest_value(g: MetricGraph, base: GraphPoint) -> float:
+    field = geodesic_field(g, base)
+    maxima = [m[1] for m in field.interior_maxima.values() if m is not None]
+    return max([*field.vertex_values.values(), *maxima])
+
+
+def test_perturbed_graph_diagrams_are_within_eps_times_the_largest_value():
+    eps, worst, checked = 0.05, 0.0, 0
+    rng = random.Random(411)
+    for k in range(40):
+        n = rng.randint(3, 6)
+        g = random_metric_graph(n, rng.randint(n, n + 4), (1.0, 2.0), seed=500 + k)
+        h = perturb_to_generic(g, eps, seed=k)
+        for v in g.vertices:
+            base = GraphPoint.at_vertex(v)
+            value = bottleneck_value(
+                extended_persistence_1d(g, base), extended_persistence_1d(h, base), "linf"
+            )
+            ratio = value / (eps * _largest_value(h, base))
+            assert ratio <= 1.0, (k, v)
+            worst, checked = max(worst, ratio), checked + 1
+    # the bound is nearly reached, so the check is not vacuous
+    assert checked >= 150 and worst > 0.5
