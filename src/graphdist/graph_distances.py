@@ -10,7 +10,7 @@ from typing import List, Tuple, Union
 from .cycles import shortest_loop_system
 from .diagram_distances import Ground, hausdorff_bottleneck, yaxis_bottleneck
 from .errors import GraphError, GraphFormatError
-from .metric_graph import GraphPoint, MetricGraph
+from .metric_graph import GraphPoint, MetricGraph, require_connected
 from .persistence import Diagram, DiagramPoint, extended_persistence_1d
 
 
@@ -76,16 +76,22 @@ def sample_base_points(g: MetricGraph, delta: float) -> List[GraphPoint]:
 
 
 def sample_phi(g: MetricGraph, delta: float) -> SampledPhi:
-    samples = tuple(
-        (p, extended_persistence_1d(g, p)) for p in sample_base_points(g, delta)
-    )
+    points = sample_base_points(g, delta)
+    require_connected(g)
+    if len(g.edges) == len(g.vertices) - 1:
+        # a tree has no cycle, so every diagram is empty
+        samples = tuple((p, Diagram(())) for p in points)
+    else:
+        samples = tuple((p, extended_persistence_1d(g, p)) for p in points)
     return SampledPhi(samples=samples, delta=float(delta))
 
 
 def persistence_distortion_from_samples(
     phi1: SampledPhi, phi2: SampledPhi, ground: Union[str, Ground] = "l1"
 ) -> Tuple[float, float]:
-    estimate = hausdorff_bottleneck(phi1.diagrams(), phi2.diagrams(), ground)
+    # a Hausdorff distance is one of sets, so each diagram counts once
+    distinct = [list(dict.fromkeys(d.pairs() for d in phi.diagrams())) for phi in (phi1, phi2)]
+    estimate = hausdorff_bottleneck(*distinct, ground)
     return estimate, 2.0 * max(phi1.delta, phi2.delta)
 
 

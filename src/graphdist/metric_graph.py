@@ -97,6 +97,11 @@ class MetricGraph:
         return {v: tuple(es) for v, es in adj.items()}
 
     @cached_property
+    def _first_component(self) -> frozenset:
+        """The vertices reachable from the first vertex; all when connected."""
+        return frozenset(_component_of(self, self.vertices[0]))
+
+    @cached_property
     def total_length(self) -> float:
         return math.fsum(e.length for e in self.edges)
 
@@ -173,9 +178,13 @@ def validate(g: MetricGraph) -> None:
             raise NonPositiveLength(e.id, e.length)
     if not g.vertices:
         raise GraphFormatError("graph has no vertices")
-    component = _component_of(g, g.vertices[0])
-    if len(component) != len(g.vertices):
-        raise Disconnected(frozenset(component))
+    require_connected(g)
+
+
+def require_connected(g: MetricGraph) -> None:
+    """Raise Disconnected if some vertex is not reachable from the first."""
+    if g.vertices and len(g._first_component) != len(g.vertices):
+        raise Disconnected(g._first_component)
 
 
 def _component_of(g: MetricGraph, start: str) -> set:

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import GraphError
 from .geodesics import dijkstra, geodesic_field
-from .metric_graph import GraphPoint, MetricGraph, subdivide
+from .metric_graph import GraphPoint, MetricGraph, require_connected, subdivide
 
 
 @dataclass(frozen=True, order=True)
@@ -81,7 +81,7 @@ class Diagram:
         ]
 
 
-def _find(parent: Dict[str, str], pot: Dict[str, int], x: str) -> Tuple[str, int]:
+def _find(parent: List[int], pot: List[int], x: int) -> Tuple[int, int]:
     """Root of x and the XOR of the labels on its path; compresses the path."""
     path = []
     while parent[x] != x:
@@ -97,6 +97,9 @@ def _find(parent: Dict[str, str], pot: Dict[str, int], x: str) -> Tuple[str, int
 
 def extended_persistence_1d(g: MetricGraph, base: GraphPoint) -> Diagram:
     """1-dimensional extended persistence diagram of the distance-from-base map."""
+    require_connected(g)
+    if len(g.edge_by_id) != len(g.edges):
+        raise GraphError("edge ids are not unique")
     field = geodesic_field(g, base)
     cuts = [
         GraphPoint.on_edge(eid, m[0])
@@ -105,34 +108,37 @@ def extended_persistence_1d(g: MetricGraph, base: GraphPoint) -> Diagram:
     ]
     g2, _pmap, parent1 = subdivide(field.graph, cuts)
     f = dijkstra(g2, field.base_vertex)
-    top = {e.id: max(f[e.u], f[e.v]) for e in g2.edges}
-    bottom = {e.id: min(f[e.u], f[e.v]) for e in g2.edges}
+    # Vertices and edges by index; ties in either pass break by edge id.
+    index = {v: i for i, v in enumerate(g2.vertices)}
+    edges = g2.edges
+    ends = [(index[e.u], index[e.v]) for e in edges]
+    top = [max(f[e.u], f[e.v]) for e in edges]
+    bottom = [min(f[e.u], f[e.v]) for e in edges]
+    n, m = len(index), len(edges)
 
     # Ascending pass: an edge whose ends are already joined is born, bit k.
-    parent = {v: v for v in g2.vertices}
-    pot = dict.fromkeys(g2.vertices, 0)
-    births: List[str] = []
-    bit: Dict[str, int] = {}
-    for e in sorted(g2.edges, key=lambda e: (top[e.id], e.id)):
-        ru, _ = _find(parent, pot, e.u)
-        rv, _ = _find(parent, pot, e.v)
+    parent, pot = list(range(n)), [0] * n
+    births: List[int] = []
+    bit = [0] * m
+    for i in sorted(range(m), key=lambda i: (top[i], edges[i].id)):
+        ru, _ = _find(parent, pot, ends[i][0])
+        rv, _ = _find(parent, pot, ends[i][1])
         if ru == rv:
-            bit[e.id] = 1 << len(births)
-            births.append(e.id)
+            bit[i] = 1 << len(births)
+            births.append(i)
         else:
             parent[ru] = rv
 
     # Descending pass: each vertex holds the birth bits on its path to its
     # root, so a cycle-closing edge knows its cycle's class; reduced by its
     # highest bit, the class names the birth edge it kills.
-    parent = {v: v for v in g2.vertices}
-    pot = dict.fromkeys(g2.vertices, 0)
+    parent, pot = list(range(n)), [0] * n
     pivots: Dict[int, int] = {}
     points: List[DiagramPoint] = []
-    for e in sorted(g2.edges, key=lambda e: (-bottom[e.id], e.id)):
-        ru, pu = _find(parent, pot, e.u)
-        rv, pv = _find(parent, pot, e.v)
-        z = pu ^ pv ^ bit.get(e.id, 0)
+    for i in sorted(range(m), key=lambda i: (-bottom[i], edges[i].id)):
+        ru, pu = _find(parent, pot, ends[i][0])
+        rv, pv = _find(parent, pot, ends[i][1])
+        z = pu ^ pv ^ bit[i]
         if ru != rv:
             parent[ru] = rv
             pot[ru] = z
@@ -141,18 +147,17 @@ def extended_persistence_1d(g: MetricGraph, base: GraphPoint) -> Diagram:
         while k in pivots:
             z ^= pivots[k]
             k = z.bit_length() - 1
+        e = edges[i]
         if z == 0:
             # a cycle of a consistent filtration always kills a birth
-            raise GraphError(
-                f"edge {e.id!r} closes a cycle with no class to kill; are edge ids unique?"
-            )
+            raise GraphError(f"edge {e.id!r} closes a cycle with no class to kill")
         pivots[k] = z
-        born, dies = top[births[k]], bottom[e.id]
+        born, dies = top[births[k]], bottom[i]
         points.append(
             DiagramPoint(
                 birth=min(born, dies),
                 death=max(born, dies),
-                edge=field.edge_parent[parent1[births[k]]],
+                edge=field.edge_parent[parent1[edges[births[k]].id]],
                 paired_vertex=e.u if f[e.u] <= f[e.v] else e.v,
             )
         )

@@ -13,7 +13,10 @@ pair (the only home left of the diagonal-profile bound),
 `_point_bound_matrix` its per-point term, which every row the Hausdorff scans
 must reproduce, `smooth_degree_two` the earlier smoothing loop
 that decided `is_bouquet`, and `matrix_extended_persistence_1d` the earlier
-extended persistence by coned boundary-matrix reduction.
+extended persistence by coned boundary-matrix reduction, and
+`string_keyed_extended_persistence_1d` the earlier union-find passes over
+dicts keyed by vertex and edge ids, which the integer-indexed passes must
+reproduce.
 `frozenset_loop_system` keeps the earlier shortest system of loops, whose
 edge sets were frozensets of ids, and `pairwise_is_tree_of_loops` the earlier
 recognizer that compared every pair of its loops.
@@ -433,6 +436,77 @@ def matrix_extended_persistence_1d(g: MetricGraph, base: GraphPoint) -> Diagram:
                 death=hi,
                 edge=fc.edge_parent[birth_s[1]],
                 paired_vertex=paired,
+            )
+        )
+    return Diagram.of(points)
+
+
+def _string_find(parent: Dict[str, str], pot: Dict[str, int], x: str) -> Tuple[str, int]:
+    """Root of x and the XOR of the labels on its path; compresses the path."""
+    path = []
+    while parent[x] != x:
+        path.append(x)
+        x = parent[x]
+    acc = 0
+    for y in reversed(path):
+        acc ^= pot[y]
+        pot[y] = acc
+        parent[y] = x
+    return x, acc
+
+
+def string_keyed_extended_persistence_1d(g: MetricGraph, base: GraphPoint) -> Diagram:
+    """The two union-find passes over dicts keyed by vertex and edge ids."""
+    field = geodesic_field(g, base)
+    cuts = [
+        GraphPoint.on_edge(eid, m[0])
+        for eid, m in field.interior_maxima.items()
+        if m is not None
+    ]
+    g2, _pmap, parent1 = subdivide(field.graph, cuts)
+    f = dijkstra(g2, field.base_vertex)
+    top = {e.id: max(f[e.u], f[e.v]) for e in g2.edges}
+    bottom = {e.id: min(f[e.u], f[e.v]) for e in g2.edges}
+
+    parent = {v: v for v in g2.vertices}
+    pot = dict.fromkeys(g2.vertices, 0)
+    births: List[str] = []
+    bit: Dict[str, int] = {}
+    for e in sorted(g2.edges, key=lambda e: (top[e.id], e.id)):
+        ru, _ = _string_find(parent, pot, e.u)
+        rv, _ = _string_find(parent, pot, e.v)
+        if ru == rv:
+            bit[e.id] = 1 << len(births)
+            births.append(e.id)
+        else:
+            parent[ru] = rv
+
+    parent = {v: v for v in g2.vertices}
+    pot = dict.fromkeys(g2.vertices, 0)
+    pivots: Dict[int, int] = {}
+    points: List[DiagramPoint] = []
+    for e in sorted(g2.edges, key=lambda e: (-bottom[e.id], e.id)):
+        ru, pu = _string_find(parent, pot, e.u)
+        rv, pv = _string_find(parent, pot, e.v)
+        z = pu ^ pv ^ bit.get(e.id, 0)
+        if ru != rv:
+            parent[ru] = rv
+            pot[ru] = z
+            continue
+        k = z.bit_length() - 1
+        while k in pivots:
+            z ^= pivots[k]
+            k = z.bit_length() - 1
+        if z == 0:
+            raise GraphError(f"edge {e.id!r} closes a cycle with no class to kill")
+        pivots[k] = z
+        born, dies = top[births[k]], bottom[e.id]
+        points.append(
+            DiagramPoint(
+                birth=min(born, dies),
+                death=max(born, dies),
+                edge=field.edge_parent[parent1[births[k]]],
+                paired_vertex=e.u if f[e.u] <= f[e.v] else e.v,
             )
         )
     return Diagram.of(points)

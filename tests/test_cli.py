@@ -289,6 +289,24 @@ def test_lengths_near_the_float_limit_exit_two(tmp_path, bouquet_path, capsys, c
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["diagram", "dpd"])
+def test_disconnected_graph_exits_two(tmp_path, bouquet_path, capsys, command):
+    path = tmp_path / "forest.json"
+    save_graph(
+        MetricGraph.build(["a", "b", "x", "y"], [("e1", "a", "b", 1.0), ("e2", "x", "y", 1.0)]),
+        str(path),
+    )
+    argv = {
+        "diagram": ["diagram", "--graph", str(path), "--base", "a"],
+        "dpd": ["dpd", "--graph", bouquet_path, "--graph2", str(path), "--delta", "0.5"],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "disconnected" in err[0]
+    assert captured.out == ""
+
+
 def test_dpd_tiny_delta_fails_fast(bouquet_path, capsys):
     start = time.perf_counter()
     code = main(["dpd", "--graph", bouquet_path, "--graph2", bouquet_path,

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from graphdist import (
+    Disconnected,
     GraphPoint,
     InvalidPoint,
     MetricGraph,
@@ -15,7 +16,9 @@ from graphdist import (
     geodesic_field,
     named,
     perturb_to_generic,
+    persistence_distortion,
     random_metric_graph,
+    sample_phi,
     shortest_loop_system,
     to_json_dict,
 )
@@ -87,3 +90,41 @@ def test_single_vertex_graph_everywhere():
     assert geodesic_distance(
         g, GraphPoint.at_vertex("o"), GraphPoint.at_vertex("o")
     ) == 0.0
+
+
+#: a triangle with isolated vertices, and a forest of two paths
+_TRIANGLE = [("e1", "x", "y", 1.0), ("e2", "y", "z", 1.0), ("e3", "z", "x", 1.5)]
+_TRIANGLE_AND_TWO_POINTS = MetricGraph.build(["x", "y", "z", "a", "b"], _TRIANGLE)
+_TRIANGLE_AND_ONE_POINT = MetricGraph.build(["x", "y", "z", "a"], _TRIANGLE)
+_FOREST = MetricGraph.build(
+    ["a", "b", "x", "y"], [("e1", "a", "b", 1.0), ("e2", "x", "y", 1.0)]
+)
+
+
+@pytest.mark.parametrize("g", [_TRIANGLE_AND_TWO_POINTS, _FOREST], ids=["triangle+2", "forest"])
+@pytest.mark.parametrize("base", ["x", "a"])
+def test_diagram_of_a_disconnected_graph_raises(g, base):
+    with pytest.raises(Disconnected):
+        extended_persistence_1d(g, GraphPoint.at_vertex(base))
+
+
+# _TRIANGLE_AND_ONE_POINT has |E| = |V| - 1, as a tree does
+each_disconnected_graph = pytest.mark.parametrize(
+    "g",
+    [_TRIANGLE_AND_TWO_POINTS, _TRIANGLE_AND_ONE_POINT, _FOREST],
+    ids=["triangle+2", "triangle+1", "forest"],
+)
+
+
+@each_disconnected_graph
+def test_sampling_a_disconnected_graph_raises(g):
+    with pytest.raises(Disconnected):
+        sample_phi(g, 0.5)
+
+
+@each_disconnected_graph
+def test_distortion_with_a_disconnected_graph_raises(g):
+    with pytest.raises(Disconnected):
+        persistence_distortion(bouquet([2.0]), g, 0.5)
+    with pytest.raises(Disconnected):
+        persistence_distortion(g, named("path:2"), 0.5)

@@ -16,12 +16,20 @@ from graphdist import (
     is_tree_of_loops,
     named,
     persistence_distortion,
+    persistence_distortion_from_samples,
     random_metric_graph,
+    sample_base_points,
     sample_phi,
     shortest_loop_system,
     tree_of_loops,
     yaxis_bottleneck,
 )
+from graphdist import graph_distances
+from graphdist.diagram_distances import hausdorff_bottleneck
+from graphdist.harness import random_bouquet, random_tree_of_loops_spec
+
+from oracles import pruned_hausdorff, string_keyed_extended_persistence_1d
+from test_diagram_distances import DeathGapGround
 
 
 def scaled(g: MetricGraph, c: float) -> MetricGraph:
@@ -208,3 +216,58 @@ def test_distortion_separates_equal_loop_multisets():
     assert intrinsic_cech_distance(g1, g2) == 0.0
     estimate, bound = persistence_distortion(g1, g2, 0.05)
     assert estimate - bound > 0.0
+
+
+def test_tree_samples_equal_the_full_computation(monkeypatch):
+    # sample_phi skips the diagrams of a tree; they must be the full
+    # computation's, which are all empty
+    def no_diagram(g, base):
+        raise AssertionError("a tree's diagram was computed")
+
+    monkeypatch.setattr(graph_distances, "extended_persistence_1d", no_diagram)
+    rng = random.Random(31)
+    trees = [bouquet([]), named("path:3")]
+    for k in range(30):
+        n = rng.randint(2, 8)
+        lengths = (1.0, 1.0) if k % 3 == 0 else (0.5, 2.0)
+        trees.append(random_metric_graph(n, n - 1, lengths, seed=1200 + k))
+    for g in trees:
+        delta = rng.uniform(0.2, 0.6)
+        expected = tuple(
+            (p, string_keyed_extended_persistence_1d(g, p))
+            for p in sample_base_points(g, delta)
+        )
+        phi = sample_phi(g, delta)
+        assert phi.samples == expected
+        assert all(len(d) == 0 for d in phi.diagrams())
+
+
+@pytest.mark.parametrize("family", ["bouquet", "tree-of-loops"])
+def test_distinct_diagrams_give_the_hausdorff_of_the_full_lists(family, monkeypatch):
+    # each side keeps one diagram per distinct pairs(); the value must be the
+    # Hausdorff of the full lists, which hold repeats
+    sizes = []
+
+    def sized_hausdorff(s1, s2, ground):
+        sizes.append((len(s1), len(s2)))
+        return hausdorff_bottleneck(s1, s2, ground)
+
+    monkeypatch.setattr(graph_distances, "hausdorff_bottleneck", sized_hausdorff)
+    # (a graph of one loop gives one diagram from every base point)
+    rng = random.Random(37)
+    sides_with_repeats = 0
+    for _ in range(6):
+        if family == "bouquet":
+            g1, g2 = random_bouquet(rng), random_bouquet(rng)
+        else:
+            g1, g2 = (tree_of_loops(random_tree_of_loops_spec(rng)) for _ in range(2))
+        delta = max(g1.total_length, g2.total_length) / 30
+        phi1, phi2 = sample_phi(g1, delta), sample_phi(g2, delta)
+        full1 = [d.pairs() for d in phi1.diagrams()]
+        full2 = [d.pairs() for d in phi2.diagrams()]
+        sides_with_repeats += (len(set(full1)) < len(full1)) + (len(set(full2)) < len(full2))
+        for ground in ("l1", "linf", DeathGapGround()):
+            estimate, _ = persistence_distortion_from_samples(phi1, phi2, ground)
+            assert estimate == pruned_hausdorff(full1, full2, ground)
+            assert sizes.pop() == (len(set(full1)), len(set(full2)))
+    assert sides_with_repeats >= 3

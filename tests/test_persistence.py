@@ -27,6 +27,7 @@ from oracles import (
     cycle_metrics,
     matrix_extended_persistence_1d,
     random_base_point,
+    string_keyed_extended_persistence_1d,
     tree_of_loops_diagram,
 )
 
@@ -213,6 +214,41 @@ def test_union_find_pairing_bit_equal_to_matrix_oracle():
             ], (g, base)
             n_points += len(got)
     assert n_points > 1000
+
+
+def _provenance(diagram):
+    return [(p.birth, p.death, p.edge, p.paired_vertex) for p in diagram.points]
+
+
+def _shuffled_ids(g, rng):
+    """g with its edges shuffled under fresh random ids, so that an edge's
+    index and its id's sorted rank disagree."""
+    edges = list(g.edges)
+    rng.shuffle(edges)
+    ids = rng.sample(range(1000), len(edges))
+    return MetricGraph.build(
+        g.vertices, [(f"r{k}", e.u, e.v, e.length) for k, e in zip(ids, edges)]
+    )
+
+
+def test_integer_union_find_equals_the_string_keyed_passes():
+    # every graph of _differential_cases as built and with shuffled ids, from
+    # every vertex, every edge midpoint and one random point per edge
+    rng = random.Random(19)
+    n_pairs = n_points = 0
+    for g0 in _differential_cases():
+        for g in (g0, _shuffled_ids(g0, rng)):
+            bases = [V(v) for v in g.vertices]
+            for e in g.edges:
+                bases.append(GraphPoint.on_edge(e.id, e.length / 2.0))
+                bases.append(random_base_point(rng, g))
+            for base in bases:
+                got = extended_persistence_1d(g, base)
+                expected = string_keyed_extended_persistence_1d(g, base)
+                assert _provenance(got) == _provenance(expected), (g, base)
+                n_pairs += 1
+                n_points += len(got)
+    assert n_pairs >= 2000 and n_points > 2000
 
 
 # ------------------------------------------------------- structural behavior
