@@ -48,7 +48,7 @@ from .generators import (
     tree_of_loops,
     tree_of_loops_parts,
 )
-from .geodesics import GeodesicField, dijkstra, geodesic_distance, geodesic_field
+from .geodesics import GeodesicField, dijkstra, geodesic_field
 from .graph_distances import (
     SampledPhi,
     intrinsic_cech_diagram,
@@ -70,7 +70,6 @@ from .metric_graph import (
     save_graph,
     subdivide,
     to_json_dict,
-    validate,
 )
 from .persistence import Diagram, DiagramPoint, extended_persistence_1d
 
@@ -111,7 +110,6 @@ __all__ = [
     "extended_persistence_1d",
     "first_betti",
     "from_json_dict",
-    "geodesic_distance",
     "geodesic_field",
     "hausdorff_bottleneck",
     "intrinsic_cech_diagram",
@@ -135,6 +133,5 @@ __all__ = [
     "to_json_dict",
     "tree_of_loops",
     "tree_of_loops_parts",
-    "validate",
     "yaxis_bottleneck",
 ]

@@ -12,7 +12,7 @@ import json
 import sys
 from typing import List, Optional
 
-from .cycles import first_betti, shortest_loop_system
+from .cycles import first_betti
 from .errors import GraphError
 from .generators import bouquet, named, random_metric_graph
 from .graph_distances import (
@@ -21,7 +21,7 @@ from .graph_distances import (
     sample_phi,
 )
 from .harness import run_verification
-from .metric_graph import load_graph, parse_point, save_graph, to_json_dict, validate
+from .metric_graph import load_graph, parse_point, save_graph, to_json_dict
 from .persistence import extended_persistence_1d
 
 
@@ -53,12 +53,6 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _load(path: str):
-    g = load_graph(path)
-    validate(g)
-    return g
-
-
 def _cmd_generate(args) -> int:
     try:
         if args.bouquet:
@@ -75,7 +69,6 @@ def _cmd_generate(args) -> int:
             raise GraphError("choose one of --bouquet/--named/--random")
     except ValueError as exc:
         raise GraphError(f"bad numeric argument: {exc}") from exc
-    validate(g)
     if args.out:
         save_graph(g, args.out)
     else:
@@ -84,8 +77,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_loops(args) -> int:
-    g = _load(args.graph)
-    system = shortest_loop_system(g)
+    g = load_graph(args.graph)
+    system = g.loop_system
     if args.format == "json":
         payload = {
             "n": len(system),
@@ -110,7 +103,7 @@ def _cmd_loops(args) -> int:
 
 
 def _cmd_diagram(args) -> int:
-    g = _load(args.graph)
+    g = load_graph(args.graph)
     base = parse_point(args.base).normalized(g)
     diagram = extended_persistence_1d(g, base)
     if args.format == "json":
@@ -122,7 +115,7 @@ def _cmd_diagram(args) -> int:
 
 
 def _cmd_dic(args) -> int:
-    g1, g2 = _load(args.graph), _load(args.graph2)
+    g1, g2 = load_graph(args.graph), load_graph(args.graph2)
     value = intrinsic_cech_distance(g1, g2)
     if args.format == "json":
         text = _json_text({"dic": value})
@@ -133,7 +126,7 @@ def _cmd_dic(args) -> int:
 
 
 def _cmd_dpd(args) -> int:
-    g1, g2 = _load(args.graph), _load(args.graph2)
+    g1, g2 = load_graph(args.graph), load_graph(args.graph2)
     phi1, phi2 = sample_phi(g1, args.delta), sample_phi(g2, args.delta)
     estimate, bound = persistence_distortion_from_samples(phi1, phi2, args.ground)
     payload = {

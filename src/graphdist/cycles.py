@@ -14,7 +14,7 @@ from typing import Dict, FrozenSet, List, Tuple
 
 from .errors import NotAClosedWalk
 from .geodesics import dijkstra
-from .metric_graph import MetricGraph
+from .metric_graph import MetricGraph, require_connected
 
 Loop = Tuple[Tuple[str, int], ...]  # (edge id, +1 for u->v, -1 for v->u)
 
@@ -99,7 +99,9 @@ def _parent_edges(g: MetricGraph, root: str) -> Dict[str, str]:
 
 def shortest_loop_system(g: MetricGraph) -> LoopSystem:
     """Compute the minimum-weight cycle basis; trees give the empty system.
-    Every edge set is an int whose bit i stands for g.edges[i]."""
+    A disconnected graph raises Disconnected. Every edge set is an int whose
+    bit i stands for g.edges[i]. `g.loop_system` caches this per graph."""
+    require_connected(g)
     n = first_betti(g)
     if n <= 0:
         return LoopSystem((), ())

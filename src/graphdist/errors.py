@@ -5,13 +5,6 @@ class GraphError(Exception):
     """Base class for all graphdist errors."""
 
 
-class NonPositiveLength(GraphError):
-    def __init__(self, edge_id: str, length: float):
-        super().__init__(f"edge {edge_id!r} has non-positive length {length!r}")
-        self.edge_id = edge_id
-        self.length = length
-
-
 class Disconnected(GraphError):
     """Raised when a graph is not connected; carries one component as witness."""
 
@@ -24,6 +17,13 @@ class Disconnected(GraphError):
 
 class GraphFormatError(GraphError):
     """Malformed graph description (JSON schema, unknown endpoints, bad numbers)."""
+
+
+class NonPositiveLength(GraphFormatError):
+    def __init__(self, edge_id: str, length: float):
+        super().__init__(f"edge {edge_id!r} has non-positive length {length!r}")
+        self.edge_id = edge_id
+        self.length = length
 
 
 class InvalidPoint(GraphError):

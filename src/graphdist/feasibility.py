@@ -14,10 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .cycles import shortest_loop_system
 from .errors import NotABouquet, NotTreeOfLoops
 from .graph_distances import intrinsic_cech_distance, persistence_distortion
-from .metric_graph import MetricGraph, _component_of, validate
+from .metric_graph import MetricGraph
 
 
 def is_bouquet(g: MetricGraph) -> bool:
@@ -27,7 +26,7 @@ def is_bouquet(g: MetricGraph) -> bool:
     unchanged, so this holds exactly when g is connected and at most one
     vertex has degree other than 2.
     """
-    if not g.vertices or len(_component_of(g, g.vertices[0])) != len(g.vertices):
+    if not g.vertices or len(g._first_component) != len(g.vertices):
         return False
     return sum(g.degree(v) != 2 for v in g.vertices) <= 1
 
@@ -36,7 +35,7 @@ def is_tree_of_loops(g: MetricGraph) -> bool:
     """Wedge-sum composition of cycles and edges == pairwise edge-disjoint
     shortest-system loops (every block is a bridge or a cycle): disjoint
     exactly when their union is as large as their sizes summed."""
-    sets = shortest_loop_system(g).edge_sets()
+    sets = g.loop_system.edge_sets()
     return len(frozenset().union(*sets)) == sum(map(len, sets))
 
 
@@ -85,8 +84,6 @@ def verify_bouquet_inequality(
     g1: MetricGraph, g2: MetricGraph, delta: float
 ) -> Report:
     """Check d_IC <= (d_PD estimate + bound)/2 for a bouquet vs an arbitrary graph."""
-    validate(g1)
-    validate(g2)
     if not is_bouquet(g1):
         raise NotABouquet("first graph is not a bouquet")
     return _distances_report(g1, g2, delta, gated=True)
@@ -96,8 +93,6 @@ def verify_tree_of_loops_inequality(
     g1: MetricGraph, g2: MetricGraph, delta: float
 ) -> Report:
     """Same check when both graphs are trees of loops."""
-    validate(g1)
-    validate(g2)
     if not (is_tree_of_loops(g1) and is_tree_of_loops(g2)):
         raise NotTreeOfLoops("both graphs must be trees of loops")
     return _distances_report(g1, g2, delta, gated=True)
@@ -105,6 +100,4 @@ def verify_tree_of_loops_inequality(
 
 def compare_arbitrary(g1: MetricGraph, g2: MetricGraph, delta: float) -> Report:
     """Exploratory: record the ratio for an arbitrary pair, never gated."""
-    validate(g1)
-    validate(g2)
     return _distances_report(g1, g2, delta, gated=False)

@@ -144,9 +144,7 @@ def named(name: str) -> MetricGraph:
                     ("loopB", "b", "b", l2),
                 ],
             )
-    except GraphFormatError:
-        raise
-    except Exception as exc:
+    except ValueError as exc:
         raise GraphFormatError(f"bad arguments in named graph {name!r}") from exc
     raise GraphFormatError(f"unknown named graph {name!r}")
 
@@ -155,7 +153,4 @@ def _floats(args: str, count: int) -> List[float]:
     parts = [float(x) for x in args.split(",")] if args else []
     if len(parts) != count:
         raise GraphFormatError(f"expected {count} numbers, got {args!r}")
-    for x in parts:
-        if not (x > 0):
-            raise GraphFormatError(f"lengths must be positive, got {x!r}")
     return parts

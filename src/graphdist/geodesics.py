@@ -42,39 +42,6 @@ def dijkstra(g: MetricGraph, source: str) -> Dict[str, float]:
     return dist
 
 
-def geodesic_distance(g: MetricGraph, p: GraphPoint, q: GraphPoint) -> float:
-    """Length of a shortest path between two realization points.
-
-    Interior points route through either endpoint of their edge; two points
-    on the same edge additionally consider the direct within-edge segment
-    (both arcs of a self-loop are covered by the endpoint routes).
-    """
-    p = p.normalized(g)
-    q = q.normalized(g)
-    if p == q:
-        return 0.0
-
-    def exits(pt: GraphPoint) -> Tuple[Tuple[str, float], ...]:
-        if pt.is_vertex:
-            return ((pt.vertex, 0.0),)
-        e = g.edge_by_id[pt.edge]
-        return ((e.u, pt.offset), (e.v, e.length - pt.offset))
-
-    best = float("inf")
-    if not p.is_vertex and not q.is_vertex and p.edge == q.edge:
-        best = abs(p.offset - q.offset)
-    q_exits = exits(q)
-    dist_from: Dict[str, Dict[str, float]] = {}
-    for pv, pd in exits(p):
-        if pv not in dist_from:
-            dist_from[pv] = dijkstra(g, pv)
-        dist = dist_from[pv]
-        for qv, qd in q_exits:
-            if qv in dist:
-                best = min(best, pd + dist[qv] + qd)
-    return best
-
-
 @dataclass(frozen=True)
 class GeodesicField:
     """Distance-from-base function, evaluated exactly.

@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple, Union
+from itertools import islice
+from typing import Iterator, List, Tuple, Union
 
-from .cycles import shortest_loop_system
 from .diagram_distances import Ground, hausdorff_bottleneck, yaxis_bottleneck
 from .errors import GraphError, GraphFormatError
 from .metric_graph import GraphPoint, MetricGraph, require_connected
@@ -16,9 +16,8 @@ from .persistence import Diagram, DiagramPoint, extended_persistence_1d
 
 def intrinsic_cech_diagram(g: MetricGraph) -> Diagram:
     """{(0, s_i / 2)} where 2s_1 <= ... <= 2s_n are the shortest-loop lengths."""
-    system = shortest_loop_system(g)
     return Diagram.of(
-        [DiagramPoint(0.0, s / 2.0) for s in system.half_lengths]
+        [DiagramPoint(0.0, s / 2.0) for s in g.loop_system.half_lengths]
     )
 
 
@@ -28,9 +27,7 @@ def intrinsic_cech_distance(g1: MetricGraph, g2: MetricGraph) -> float:
     Equals the l1 bottleneck between the two intrinsic Cech diagrams; in
     particular it is 0 for any two trees.
     """
-    s = shortest_loop_system(g1).half_lengths
-    t = shortest_loop_system(g2).half_lengths
-    return yaxis_bottleneck(s, t) / 2.0
+    return yaxis_bottleneck(g1.loop_system.half_lengths, g2.loop_system.half_lengths) / 2.0
 
 
 @dataclass(frozen=True)
@@ -53,25 +50,28 @@ class SampledPhi:
 MAX_SAMPLES = 100_000
 
 
+def _net(g: MetricGraph, delta: float) -> Iterator[GraphPoint]:
+    """Every vertex, then the points k*delta (k >= 1) inside each edge."""
+    for v in g.vertices:
+        yield GraphPoint.at_vertex(v)
+    for e in g.edges:
+        k = 1
+        while k * delta < e.length - 1e-9 * e.length:
+            yield GraphPoint.on_edge(e.id, k * delta)
+            k += 1
+
+
 def sample_base_points(g: MetricGraph, delta: float) -> List[GraphPoint]:
     if not (delta > 0 and math.isfinite(2.0 * delta)):
         raise GraphFormatError(
             f"delta must be positive with a finite bound 2*delta, got {delta!r}"
         )
-    points = [GraphPoint.at_vertex(v) for v in g.vertices]
-    for e in g.edges:
-        k = 1
-        while True:
-            off = k * delta
-            if off >= e.length - 1e-9 * e.length:
-                break
-            if len(points) >= MAX_SAMPLES:
-                raise GraphError(
-                    f"delta {delta!r} needs more than {MAX_SAMPLES} samples "
-                    f"on a graph of total length {g.total_length!r}"
-                )
-            points.append(GraphPoint.on_edge(e.id, off))
-            k += 1
+    points = list(islice(_net(g, delta), MAX_SAMPLES + 1))
+    if len(points) > MAX_SAMPLES:
+        raise GraphError(
+            f"delta {delta!r} needs more than {MAX_SAMPLES} samples "
+            f"on a graph of total length {g.total_length!r}"
+        )
     return points
 
 

@@ -6,7 +6,6 @@ import random
 from dataclasses import replace
 from typing import List, Optional, Tuple
 
-from .cycles import shortest_loop_system
 from .errors import GraphError
 from .feasibility import (
     compare_arbitrary,
@@ -56,9 +55,7 @@ DELTA_FRACTION = 0.05
 
 def pick_delta(graphs: Tuple[MetricGraph, ...]) -> float:
     """DELTA_FRACTION times the smallest half loop length, over every graph with loops."""
-    half_lengths = [
-        h for g in graphs for h in shortest_loop_system(g).half_lengths
-    ]
+    half_lengths = [h for g in graphs for h in g.loop_system.half_lengths]
     if half_lengths:
         return DELTA_FRACTION * min(half_lengths)
     return DELTA_FRACTION * min(e.length for g in graphs for e in g.edges)

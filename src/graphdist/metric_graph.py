@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Container, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Container, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     Disconnected,
@@ -20,6 +20,10 @@ from .errors import (
     InvalidPoint,
     NonPositiveLength,
 )
+
+if TYPE_CHECKING:
+    from .cycles import LoopSystem
+
 
 @dataclass(frozen=True)
 class Edge:
@@ -60,6 +64,10 @@ class MetricGraph:
         return g
 
     def _check_structure(self) -> None:
+        """The one check of a valid graph: at least one vertex, unique ids,
+        known endpoints, finite positive lengths and a finite doubled total."""
+        if not self.vertices:
+            raise GraphFormatError("graph has no vertices")
         seen_v = set()
         for v in self.vertices:
             if v in seen_v:
@@ -78,6 +86,8 @@ class MetricGraph:
                 raise GraphFormatError(
                     f"edge {e.id!r} has non-finite length {e.length!r}"
                 )
+            if not (e.length > 0.0):
+                raise NonPositiveLength(e.id, e.length)
         # geodesic and cut values reach twice the total length (fsum raises)
         if not math.isfinite(2.0 * sum(e.length for e in self.edges)):
             raise GraphFormatError("twice the total edge length overflows a float")
@@ -97,9 +107,28 @@ class MetricGraph:
         return {v: tuple(es) for v, es in adj.items()}
 
     @cached_property
+    def loop_system(self) -> LoopSystem:
+        """The shortest system of loops, computed once per graph; raises
+        Disconnected on a disconnected graph."""
+        # cycles imports this module; looking the function up at call time
+        # also lets wrappers patched onto cycles take effect
+        from . import cycles
+
+        return cycles.shortest_loop_system(self)
+
+    @cached_property
     def _first_component(self) -> frozenset:
         """The vertices reachable from the first vertex; all when connected."""
-        return frozenset(_component_of(self, self.vertices[0]))
+        seen = {self.vertices[0]}
+        stack = [self.vertices[0]]
+        while stack:
+            x = stack.pop()
+            for e in self.adjacency[x]:
+                y = e.other(x)
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return frozenset(seen)
 
     @cached_property
     def total_length(self) -> float:
@@ -171,33 +200,10 @@ def parse_point(text: str) -> GraphPoint:
     return GraphPoint.at_vertex(text)
 
 
-def validate(g: MetricGraph) -> None:
-    """Raise NonPositiveLength / Disconnected unless g is a valid metric graph."""
-    for e in g.edges:
-        if not (e.length > 0.0):
-            raise NonPositiveLength(e.id, e.length)
-    if not g.vertices:
-        raise GraphFormatError("graph has no vertices")
-    require_connected(g)
-
-
 def require_connected(g: MetricGraph) -> None:
     """Raise Disconnected if some vertex is not reachable from the first."""
     if g.vertices and len(g._first_component) != len(g.vertices):
         raise Disconnected(g._first_component)
-
-
-def _component_of(g: MetricGraph, start: str) -> set:
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for e in g.adjacency[x]:
-            y = e.other(x)
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen
 
 
 def _fresh_id(name: str, old: Container[str], new: Container[str]) -> str:
@@ -305,10 +311,6 @@ def from_json_dict(data: dict) -> MetricGraph:
             length = float(rec["length"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise GraphFormatError(f"malformed edge record {rec!r}") from exc
-        if not math.isfinite(length) or length <= 0.0:
-            raise GraphFormatError(
-                f"edge {eid!r} has invalid length {rec['length']!r}"
-            )
         edges.append((eid, u, v, length))
     return MetricGraph.build(vertices, edges)
 

@@ -25,7 +25,8 @@ minimum cycle basis.
 
 The rest are checkers of the paper's lemmas and fixtures that only tests use:
 the feasible-region matching of a computed diagram to the ideal diagram
-{(0, s_i)} with its Hall witness, `cycle_metrics` (length and height of the
+{(0, s_i)} with its Hall witness, `geodesic_distance` between two points of
+the realization, `cycle_metrics` (length and height of the
 distance function on a loop), the closed-form `tree_of_loops_diagram`, the
 tie-aware `shortest_path_tree` whose parents `cycles._parent_edges` must
 reproduce, and the seeded `random_generic_instance`.
@@ -52,7 +53,6 @@ from graphdist import (
     MetricGraph,
     NotAClosedWalk,
     bottleneck_value,
-    geodesic_distance,
     tree_of_loops_parts,
 )
 from graphdist.cycles import LoopSystem, _parent_edges, _walk_of_cycle, first_betti
@@ -844,6 +844,39 @@ def perfect_matching(fg: FeasibilityGraph) -> Union[Matching, HallWitness]:
         (ground.dist(a, b) for a, b in pairs), default=0.0
     )
     return Matching(pairs=pairs, cost=cost)
+
+
+def geodesic_distance(g: MetricGraph, p: GraphPoint, q: GraphPoint) -> float:
+    """Length of a shortest path between two realization points.
+
+    Interior points route through either endpoint of their edge; two points
+    on the same edge additionally consider the direct within-edge segment
+    (both arcs of a self-loop are covered by the endpoint routes).
+    """
+    p = p.normalized(g)
+    q = q.normalized(g)
+    if p == q:
+        return 0.0
+
+    def exits(pt: GraphPoint) -> Tuple[Tuple[str, float], ...]:
+        if pt.is_vertex:
+            return ((pt.vertex, 0.0),)
+        e = g.edge_by_id[pt.edge]
+        return ((e.u, pt.offset), (e.v, e.length - pt.offset))
+
+    best = float("inf")
+    if not p.is_vertex and not q.is_vertex and p.edge == q.edge:
+        best = abs(p.offset - q.offset)
+    q_exits = exits(q)
+    dist_from: Dict[str, Dict[str, float]] = {}
+    for pv, pd in exits(p):
+        if pv not in dist_from:
+            dist_from[pv] = dijkstra(g, pv)
+        dist = dist_from[pv]
+        for qv, qd in q_exits:
+            if qv in dist:
+                best = min(best, pd + dist[qv] + qd)
+    return best
 
 
 def _edge_max(field: GeodesicField, edge_id: str) -> float:

@@ -13,7 +13,6 @@ from graphdist import (
     bouquet,
     extended_persistence_1d,
     first_betti,
-    geodesic_distance,
     geodesic_field,
     intrinsic_cech_diagram,
     intrinsic_cech_distance,
@@ -31,6 +30,7 @@ from oracles import (
     brute_bottleneck,
     build_feasibility_graph,
     cycle_metrics,
+    geodesic_distance,
     hall_condition_holds,
     ideal_replacement_no_worse,
     in_feasible_region,

@@ -12,18 +12,22 @@ from graphdist import (
     bouquet,
     extended_persistence_1d,
     first_betti,
-    geodesic_distance,
     geodesic_field,
+    intrinsic_cech_diagram,
+    intrinsic_cech_distance,
+    is_tree_of_loops,
     named,
     perturb_to_generic,
     persistence_distortion,
     random_metric_graph,
     sample_phi,
+    save_graph,
     shortest_loop_system,
     to_json_dict,
 )
+from graphdist.cli import main
 
-from oracles import shortest_path_tree
+from oracles import geodesic_distance, shortest_path_tree
 
 
 def test_parallel_equal_edges_diagram_still_correct():
@@ -128,3 +132,36 @@ def test_distortion_with_a_disconnected_graph_raises(g):
         persistence_distortion(bouquet([2.0]), g, 0.5)
     with pytest.raises(Disconnected):
         persistence_distortion(g, named("path:2"), 0.5)
+
+
+@each_disconnected_graph
+def test_loop_system_of_a_disconnected_graph_raises(g):
+    # triangle+1 has |E| = |V| - 1, so without the check it reads as a tree
+    # with no loops
+    with pytest.raises(Disconnected):
+        shortest_loop_system(g)
+    with pytest.raises(Disconnected):
+        intrinsic_cech_diagram(g)
+    with pytest.raises(Disconnected):
+        intrinsic_cech_distance(bouquet([2.0]), g)
+    with pytest.raises(Disconnected):
+        intrinsic_cech_distance(g, bouquet([2.0]))
+    with pytest.raises(Disconnected):
+        is_tree_of_loops(g)
+
+
+@each_disconnected_graph
+@pytest.mark.parametrize("command", ["loops", "dic"])
+def test_cli_on_a_disconnected_graph_exits_two(g, command, tmp_path, capsys):
+    path, other = str(tmp_path / "g.json"), str(tmp_path / "bouquet.json")
+    save_graph(g, path)
+    save_graph(bouquet([2.0]), other)
+    argv = {
+        "loops": ["loops", "--graph", path],
+        "dic": ["dic", "--graph", other, "--graph2", path],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "disconnected" in err[0]
+    assert captured.out == ""

@@ -11,13 +11,13 @@ from graphdist import (
     shortest_loop_system,
     to_json_dict,
     tree_of_loops,
-    validate,
 )
+from graphdist.metric_graph import require_connected
 
 
 def test_bouquet_shapes():
     g = bouquet([])
-    validate(g)
+    require_connected(g)
     assert len(g.vertices) == 1 and len(g.edges) == 0
 
     g = bouquet([2.0])
@@ -36,7 +36,7 @@ def test_tree_of_loops_shapes():
         loops_per_node=((3.0,), (5.0,)), tree_edges=((0, 1, 1.0),)
     )
     g = tree_of_loops(spec)
-    validate(g)
+    require_connected(g)
     assert first_betti(g) == 2
     assert is_tree_of_loops(g)
 
@@ -51,7 +51,7 @@ def test_random_graph_determinism_and_shape():
     g1 = random_metric_graph(6, 9, (0.5, 2.0), seed=12)
     g2 = random_metric_graph(6, 9, (0.5, 2.0), seed=12)
     assert to_json_dict(g1) == to_json_dict(g2)
-    validate(g1)
+    require_connected(g1)
     assert first_betti(g1) == 4
 
     tree = random_metric_graph(5, 4, (0.5, 2.0), seed=0)
@@ -65,7 +65,7 @@ def test_random_graph_determinism_and_shape():
 
 def test_named_graphs():
     theta = named("theta")
-    validate(theta)
+    require_connected(theta)
     assert sorted(e.length for e in theta.edges) == [1.0, 2.0, 3.0]
     assert first_betti(theta) == 2
 
@@ -91,7 +91,7 @@ def test_named_graphs():
 def test_generator_outputs_validate():
     for seed in range(10):
         g = random_metric_graph(4, 6, (0.5, 2.0), seed=seed)
-        validate(g)
+        require_connected(g)
 
 
 def test_random_graph_size_limit_fails_before_allocating():

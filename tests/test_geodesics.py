@@ -8,14 +8,13 @@ from graphdist import (
     GraphPoint,
     MetricGraph,
     bouquet,
-    geodesic_distance,
     geodesic_field,
     named,
     perturb_to_generic,
     random_metric_graph,
 )
 
-from oracles import random_base_point, shortest_path_tree
+from oracles import geodesic_distance, random_base_point, shortest_path_tree
 
 
 def V(x):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from graphdist import (
     Edge,
+    GraphError,
     GraphFormatError,
     MetricGraph,
     TreeOfLoopsSpec,
@@ -25,6 +26,7 @@ from graphdist import (
     yaxis_bottleneck,
 )
 from graphdist import graph_distances
+from graphdist.graph_distances import MAX_SAMPLES
 from graphdist.diagram_distances import hausdorff_bottleneck
 from graphdist.harness import random_bouquet, random_tree_of_loops_spec
 
@@ -118,6 +120,18 @@ def test_sample_gaps_at_most_delta():
 def test_sample_rejects_bad_delta():
     with pytest.raises(GraphFormatError):
         sample_phi(named("path:1"), 0.0)
+
+
+def test_sample_limit_counts_the_vertices():
+    def path(n):
+        return MetricGraph.build(
+            [f"v{i}" for i in range(n)], [(f"e{i}", f"v{i}", f"v{i + 1}", 1.0) for i in range(n - 1)]
+        )
+
+    # at delta 2 every sample is a vertex
+    assert len(sample_base_points(path(MAX_SAMPLES), 2.0)) == MAX_SAMPLES
+    with pytest.raises(GraphError, match=str(MAX_SAMPLES)):
+        sample_base_points(path(MAX_SAMPLES + 1), 2.0)
 
 
 # -------------------------------------------------------- distortion distance

@@ -1,7 +1,8 @@
 import pytest
 
 from graphdist import GraphError, pick_delta, run_verification
-from graphdist import bouquet, feasibility, named, random_metric_graph
+from graphdist import bouquet, cycles, feasibility, named, random_metric_graph
+from graphdist.harness import FAMILIES
 
 
 def test_reports_are_deterministic_and_ordered():
@@ -49,3 +50,20 @@ def test_pick_delta_uses_min_half_loop_length():
     assert pick_delta((g1, g2)) == pytest.approx(0.05 * 1.0)
     trees = (random_metric_graph(4, 3, (1.0, 2.0), seed=0),)
     assert pick_delta(trees) > 0.0
+
+
+@pytest.mark.parametrize("delta", [None, 0.5])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_each_graph_computes_its_loop_system_once(family, delta, monkeypatch):
+    graphs = []
+    compute = cycles.shortest_loop_system
+
+    def counting(g):
+        graphs.append(g)
+        return compute(g)
+
+    monkeypatch.setattr(cycles, "shortest_loop_system", counting)
+    reports = run_verification(family, 5, seed=7, delta=delta)
+    # the list keeps every graph alive, so no two share an id
+    assert len(graphs) == 2 * len(reports)
+    assert len({id(g) for g in graphs}) == len(graphs)

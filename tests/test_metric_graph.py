@@ -14,8 +14,8 @@ from graphdist import (
     InvalidPoint,
     MetricGraph,
     NonPositiveLength,
+    bouquet,
     from_json_dict,
-    geodesic_distance,
     load_graph,
     named,
     parse_point,
@@ -24,26 +24,28 @@ from graphdist import (
     save_graph,
     subdivide,
     to_json_dict,
-    validate,
 )
+from graphdist.cli import main
 from graphdist.geodesics import dijkstra
+from graphdist.metric_graph import require_connected
+
+from oracles import geodesic_distance
 
 
 def test_validate_single_vertex_ok():
     g = MetricGraph.build(["a"], [])
-    validate(g)  # vacuously connected
+    require_connected(g)  # vacuously connected
 
 
 def test_validate_zero_length_rejected():
-    g = MetricGraph.build(["a", "b"], [("e", "a", "b", 0.0)])
     with pytest.raises(NonPositiveLength):
-        validate(g)
+        MetricGraph.build(["a", "b"], [("e", "a", "b", 0.0)])
 
 
 def test_validate_disconnected_reports_witness():
     g = MetricGraph.build(["a", "b", "c"], [("e", "a", "b", 1.0)])
     with pytest.raises(Disconnected) as err:
-        validate(g)
+        require_connected(g)
     assert err.value.component in ({"a", "b"}, {"c"})
 
 
@@ -216,7 +218,7 @@ def test_lengths_whose_doubled_sum_overflows_are_rejected():
     with pytest.raises(GraphFormatError):
         random_metric_graph(4, 6, (1e307, 1.7e308), seed=0)
     g = MetricGraph.build(["a", "b"], [("e", "a", "b", 8.9e307)])
-    validate(g)
+    require_connected(g)
     # the perturbed graph goes through the same check
     with pytest.raises(GraphFormatError):
         perturb_to_generic(g, 0.5, seed=1)
@@ -235,6 +237,41 @@ def test_loader_rejects_bad_lengths(length):
     data = {"vertices": ["a", "b"], "edges": [{"id": "e", "u": "a", "v": "b", "length": length}]}
     with pytest.raises(GraphFormatError):
         from_json_dict(json.loads(json.dumps(data)))
+
+
+@pytest.mark.parametrize("length", [0.0, -0.5])
+def test_every_way_to_make_a_graph_rejects_a_non_positive_length(tmp_path, capsys, length):
+    # the triangle x-y 1, y-z length, z-x 1.5
+    vertices = ["x", "y", "z"]
+    edges = [("e1", "x", "y", 1.0), ("e2", "y", "z", length), ("e3", "z", "x", 1.5)]
+    data = {"vertices": vertices, "edges": [dict(zip(("id", "u", "v", "length"), e)) for e in edges]}
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(data))
+    makers = [
+        lambda: MetricGraph.build(vertices, edges),
+        lambda: from_json_dict(data),
+        lambda: load_graph(str(path)),
+        lambda: bouquet([2.0, length]),
+        lambda: named(f"cycle:{length}"),
+        lambda: named(f"dumbbell:1,{length},2"),
+    ]
+    for make in makers:
+        with pytest.raises(NonPositiveLength):
+            make()
+    assert issubclass(NonPositiveLength, GraphFormatError)
+    for argv in (["generate", "--bouquet", f"2,{length}"], ["loops", "--graph", str(path)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "non-positive" in err[0]
+        assert captured.out == ""
+
+
+def test_a_graph_without_vertices_is_rejected():
+    with pytest.raises(GraphFormatError):
+        MetricGraph.build([], [])
+    with pytest.raises(GraphFormatError):
+        from_json_dict({"vertices": [], "edges": []})
 
 
 def _clash_cases():

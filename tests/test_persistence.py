@@ -11,7 +11,6 @@ from graphdist import (
     bouquet,
     extended_persistence_1d,
     first_betti,
-    geodesic_distance,
     geodesic_field,
     named,
     random_metric_graph,
@@ -25,6 +24,7 @@ from oracles import (
     all_closed_walk_edge_sets,
     build_filtration,
     cycle_metrics,
+    geodesic_distance,
     matrix_extended_persistence_1d,
     random_base_point,
     string_keyed_extended_persistence_1d,
