@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end. It owns every text format: JSON field names, CSV
+layouts and float digits; the library modules return data.
 
 Exit codes: 0 success / all instances pass, 1 verification violation,
 2 input error. All floats are printed with 12 significant digits so that
@@ -8,11 +9,14 @@ repeated runs diff cleanly.
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
+import io
 import json
 import sys
 from typing import List, Optional
 
-from .cycles import first_betti
+from .cycles import LoopSystem, first_betti
 from .errors import GraphError
 from .generators import bouquet, named, random_metric_graph
 from .graph_distances import (
@@ -20,9 +24,9 @@ from .graph_distances import (
     persistence_distortion_from_samples,
     sample_phi,
 )
-from .harness import run_verification
+from .harness import FAMILIES, run_verification
 from .metric_graph import load_graph, parse_point, save_graph, to_json_dict
-from .persistence import extended_persistence_1d
+from .persistence import Diagram, extended_persistence_1d
 
 
 def _fmt(x: float) -> str:
@@ -43,6 +47,29 @@ def _round12(obj):
 def _json_text(obj) -> str:
     """Indented, key-sorted JSON of obj with floats at 12 significant digits."""
     return json.dumps(_round12(obj), indent=2, sort_keys=True) + "\n"
+
+
+def _loops_json(system: LoopSystem) -> list:
+    return [
+        {"edges": [{"id": eid, "dir": d} for eid, d in loop], "length": length}
+        for loop, length in zip(system.loops, system.lengths)
+    ]
+
+
+def _diagram_json(diagram: Diagram) -> list:
+    return [
+        {"birth": p.birth, "death": p.death, "edge_id": p.edge, "paired_vertex": p.paired_vertex}
+        for p in diagram.points
+    ]
+
+
+def _diagram_csv(diagram: Diagram) -> str:
+    # csv.writer quotes an edge id that holds a comma or a quote
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["birth", "death", "edge_id"])
+    writer.writerows([_fmt(p.birth), _fmt(p.death), p.edge or ""] for p in diagram.points)
+    return buf.getvalue()
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -83,7 +110,7 @@ def _cmd_loops(args) -> int:
         payload = {
             "n": len(system),
             "first_betti": first_betti(g),
-            "loops": system.to_json_list(),
+            "loops": _loops_json(system),
         }
         text = _json_text(payload)
     elif args.format == "csv":
@@ -107,9 +134,9 @@ def _cmd_diagram(args) -> int:
     base = parse_point(args.base).normalized(g)
     diagram = extended_persistence_1d(g, base)
     if args.format == "json":
-        text = _json_text({"points": diagram.to_json_list()})
+        text = _json_text({"points": _diagram_json(diagram)})
     else:
-        text = diagram.to_csv()
+        text = _diagram_csv(diagram)
     _emit(text, args.out)
     return 0
 
@@ -157,12 +184,9 @@ def _cmd_verify(args) -> int:
         ]
         text = "\n".join(lines) + "\n"
     else:
-        text = (
-            "\n".join(
-                json.dumps(_round12(r.to_json_dict()), sort_keys=True) for r in reports
-            )
-            + "\n"
-        )
+        text = "\n".join(
+            json.dumps(_round12(dataclasses.asdict(r)), sort_keys=True) for r in reports
+        ) + "\n"
     _emit(text, args.out)
     return 1 if any(r.verdict == "VIOLATION" for r in reports) else 0
 
@@ -212,11 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_dpd)
 
     p = sub.add_parser("verify", help="run the inequality verification harness")
-    p.add_argument(
-        "--family",
-        choices=("bouquet", "bouquet-vs-arbitrary", "tree-of-loops", "trees", "arbitrary"),
-        required=True,
-    )
+    p.add_argument("--family", choices=(*FAMILIES, "bouquet-vs-arbitrary"), required=True)
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--delta", type=float, default=None)
@@ -232,10 +252,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GraphError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (GraphError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

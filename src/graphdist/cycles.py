@@ -36,15 +36,6 @@ class LoopSystem:
     def edge_sets(self) -> Tuple[FrozenSet[str], ...]:
         return tuple(frozenset(eid for eid, _ in loop) for loop in self.loops)
 
-    def to_json_list(self) -> list:
-        return [
-            {
-                "edges": [{"id": eid, "dir": d} for eid, d in loop],
-                "length": length,
-            }
-            for loop, length in zip(self.loops, self.lengths)
-        ]
-
 
 def first_betti(g: MetricGraph) -> int:
     """Rank of the first homology of a connected graph: |E| - |V| + 1."""

@@ -12,7 +12,7 @@ ratio for any pair and is never gated. Each report leaves `family` and
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .errors import NotABouquet, NotTreeOfLoops
 from .graph_distances import intrinsic_cech_distance, persistence_distortion
@@ -50,9 +50,6 @@ class Report:
     dpd_error_bound: float
     ratio: float
     verdict: str
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def _distances_report(

@@ -27,6 +27,7 @@ class TreeOfLoopsSpec:
     tree_edges: Tuple[Tuple[int, int, float], ...] = field(default=())
 
     def validate(self) -> None:
+        """Structure only; MetricGraph.build rejects a non-positive length."""
         n = len(self.loops_per_node)
         if n == 0:
             raise SpecNotTreeOfLoops("no junction nodes")
@@ -35,18 +36,12 @@ class TreeOfLoopsSpec:
                 f"{len(self.tree_edges)} connectors for {n} junctions; need n-1"
             )
         seen = {0}
-        for a, b, length in self.tree_edges:
+        for a, b, _length in self.tree_edges:
             if not (0 <= a < n and 0 <= b < n):
                 raise SpecNotTreeOfLoops(f"connector ({a},{b}) out of range")
-            if not (length > 0):
-                raise SpecNotTreeOfLoops(f"connector length {length!r} not positive")
             if a not in seen or b in seen:
                 raise SpecNotTreeOfLoops("connectors do not form a rooted tree")
             seen.add(b)
-        for loops in self.loops_per_node:
-            for l in loops:
-                if not (l > 0):
-                    raise SpecNotTreeOfLoops(f"loop length {l!r} not positive")
 
     @property
     def loop_lengths(self) -> Tuple[float, ...]:

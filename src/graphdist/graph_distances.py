@@ -56,7 +56,7 @@ def _net(g: MetricGraph, delta: float) -> Iterator[GraphPoint]:
         yield GraphPoint.at_vertex(v)
     for e in g.edges:
         k = 1
-        while k * delta < e.length - 1e-9 * e.length:
+        while k * delta < e.length:
             yield GraphPoint.on_edge(e.id, k * delta)
             k += 1
 
@@ -105,8 +105,8 @@ def persistence_distortion(
 
     The estimate is the Hausdorff-of-bottlenecks over sampled base points;
     the true value lies within 2*delta of it (the diagram map is 1-Lipschitz
-    in the sup metric and l1 <= 2*sup, and no realization point is farther
-    than delta from a sample).
+    in the sup metric and l1 <= 2*sup, and every realization point lies
+    within delta/2 of a sample).
     """
     return persistence_distortion_from_samples(
         sample_phi(g1, delta), sample_phi(g2, delta), ground

@@ -307,11 +307,12 @@ def from_json_dict(data: dict) -> MetricGraph:
     edges = []
     for rec in raw_edges:
         try:
-            eid, u, v = str(rec["id"]), str(rec["u"]), str(rec["v"])
-            length = float(rec["length"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            eid, u, v, length = str(rec["id"]), str(rec["u"]), str(rec["v"]), rec["length"]
+            if isinstance(length, bool) or not isinstance(length, (int, float)):
+                raise GraphFormatError(f"edge {eid!r} length {length!r} is not a JSON number")
+            edges.append((eid, u, v, float(length)))
+        except (KeyError, TypeError, OverflowError) as exc:
             raise GraphFormatError(f"malformed edge record {rec!r}") from exc
-        edges.append((eid, u, v, length))
     return MetricGraph.build(vertices, edges)
 
 

@@ -13,8 +13,6 @@ local maximum.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -29,10 +27,6 @@ class DiagramPoint:
     death: float
     edge: Optional[str] = None
     paired_vertex: Optional[str] = None
-
-    @property
-    def persistence(self) -> float:
-        return self.death - self.birth
 
     def pair(self) -> Tuple[float, float]:
         return (self.birth, self.death)
@@ -60,25 +54,6 @@ class Diagram:
 
     def pairs(self) -> Tuple[Tuple[float, float], ...]:
         return tuple(p.pair() for p in self.points)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["birth", "death", "edge_id"])
-        for p in self.points:
-            writer.writerow([f"{p.birth:.12g}", f"{p.death:.12g}", p.edge or ""])
-        return buf.getvalue()
-
-    def to_json_list(self) -> list:
-        return [
-            {
-                "birth": p.birth,
-                "death": p.death,
-                "edge_id": p.edge,
-                "paired_vertex": p.paired_vertex,
-            }
-            for p in self.points
-        ]
 
 
 def _find(parent: List[int], pot: List[int], x: int) -> Tuple[int, int]:

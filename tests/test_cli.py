@@ -237,6 +237,14 @@ def test_input_errors_exit_two(tmp_path):
         {"vertices": "a", "edges": []},
         {"vertices": ["a"], "edges": [["e", "a", "a", 1.0]]},
         {"vertices": ["a"], "edges": [{"id": "e", "u": "a", "v": "a", "length": 10**400}]},
+        {
+            "vertices": ["a", "b"],
+            "edges": [
+                {"id": "e", "u": "a", "v": "b", "length": True},
+                {"id": "f", "u": "a", "v": "b", "length": "2.5"},
+            ],
+        },
+        {"vertices": ["a", "b"], "edges": [{"id": "f", "u": "a", "v": "b", "length": "2.5"}]},
     ],
 )
 def test_malformed_graph_json_exits_two_with_one_error_line(tmp_path, capsys, data):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -117,6 +118,32 @@ def test_sample_gaps_at_most_delta():
         assert max(gaps) <= delta * (1 + 1e-9)
 
 
+def test_net_samples_an_offset_just_short_of_an_edge_end():
+    # 2 * delta lies 5e-10 before b; without a sample there the gap to b is
+    # 0.50000000025 > delta
+    delta = 0.49999999975
+    offsets = [p.offset for p in sample_base_points(named("path:1"), delta) if not p.is_vertex]
+    assert offsets == [delta, 2 * delta] and 2 * delta == 0.9999999995
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_net_points_along_an_edge_are_at_most_delta_apart(seed):
+    rng = random.Random(seed)
+    g = random_metric_graph(6, 10, (0.1, 3.0), seed=seed)
+    # one edge ends just past a multiple of delta, where a sample is easy to skip
+    e0 = rng.choice(g.edges)
+    delta = e0.length / rng.randint(1, 6) * (1.0 - rng.uniform(1e-12, 1e-9))
+    stops = {e.id: [0.0, e.length] for e in g.edges}
+    for p in sample_base_points(g, delta):
+        if not p.is_vertex:
+            stops[p.edge].append(p.offset)
+    for e in g.edges:
+        offs = sorted(stops[e.id])
+        gap = max(b - a for a, b in zip(offs, offs[1:]))
+        # k * delta and the difference each round by half an ulp of the length
+        assert gap <= delta + 2 * math.ulp(e.length), (e.id, gap - delta)
+
+
 def test_sample_rejects_bad_delta():
     with pytest.raises(GraphFormatError):
         sample_phi(named("path:1"), 0.0)
@@ -135,6 +162,34 @@ def test_sample_limit_counts_the_vertices():
 
 
 # -------------------------------------------------------- distortion distance
+
+
+def _persistences_and_half_lengths(g: MetricGraph, delta: float):
+    half = sorted(g.loop_system.half_lengths)
+    for _, d in sample_phi(g, delta).samples:
+        yield sorted(death - birth for birth, death in d.pairs()), half
+
+
+def test_persistences_are_dominated_by_the_half_loop_lengths():
+    # Observed, not proven: from every base point the sorted persistences are
+    # at most the sorted half-lengths of the shortest system of loops, entry
+    # by entry, with equality on trees of loops. It ties the union-find
+    # pairing of persistence.py to the GF(2) basis of cycles.py.
+    rng = random.Random(15)
+    diagrams = 0
+    for k in range(120):
+        n = rng.randint(2, 8)
+        g = random_metric_graph(n, n - 1 + rng.randint(1, 5), (0.5, 2.0), seed=1500 + k)
+        for pers, half in _persistences_and_half_lengths(g, 0.3):
+            tol = 4 * math.ulp(half[-1])
+            assert len(pers) == len(half) and all(p <= s + tol for p, s in zip(pers, half)), k
+            diagrams += 1
+    assert diagrams > 3500
+    for _ in range(30):
+        g = tree_of_loops(random_tree_of_loops_spec(rng))
+        for pers, half in _persistences_and_half_lengths(g, 0.3):
+            tol = 4 * math.ulp(half[-1])
+            assert all(abs(p - s) <= tol for p, s in zip(pers, half)) and len(pers) == len(half)
 
 
 def test_distortion_zero_for_identical_graph():

@@ -8,14 +8,14 @@ from graphdist.harness import FAMILIES
 def test_reports_are_deterministic_and_ordered():
     a = run_verification("bouquet", 4, seed=7)
     b = run_verification("bouquet", 4, seed=7)
-    assert [r.to_json_dict() for r in a] == [r.to_json_dict() for r in b]
+    assert a == b
     assert [r.seed for r in a] == sorted(r.seed for r in a)
 
 
 def test_family_alias_and_unknown_family():
     a = run_verification("bouquet", 2, seed=1)
     b = run_verification("bouquet-vs-arbitrary", 2, seed=1)
-    assert [r.to_json_dict() for r in a] == [r.to_json_dict() for r in b]
+    assert a == b
     with pytest.raises(GraphError):
         run_verification("nope", 1, seed=0)
 

@@ -14,6 +14,7 @@ from graphdist import (
     InvalidPoint,
     MetricGraph,
     NonPositiveLength,
+    TreeOfLoopsSpec,
     bouquet,
     from_json_dict,
     load_graph,
@@ -24,6 +25,7 @@ from graphdist import (
     save_graph,
     subdivide,
     to_json_dict,
+    tree_of_loops,
 )
 from graphdist.cli import main
 from graphdist.geodesics import dijkstra
@@ -254,6 +256,8 @@ def test_every_way_to_make_a_graph_rejects_a_non_positive_length(tmp_path, capsy
         lambda: bouquet([2.0, length]),
         lambda: named(f"cycle:{length}"),
         lambda: named(f"dumbbell:1,{length},2"),
+        lambda: tree_of_loops(TreeOfLoopsSpec(((2.0,), (length,)), ((0, 1, 1.0),))),
+        lambda: tree_of_loops(TreeOfLoopsSpec(((2.0,), (3.0,)), ((0, 1, length),))),
     ]
     for make in makers:
         with pytest.raises(NonPositiveLength):

@@ -5,6 +5,7 @@ import pytest
 from graphdist import (
     GraphPoint,
     MetricGraph,
+    NonPositiveLength,
     SpecNotTreeOfLoops,
     TreeOfLoopsSpec,
     bottleneck_value,
@@ -18,6 +19,7 @@ from graphdist import (
     tree_of_loops,
     tree_of_loops_parts,
 )
+from graphdist.cli import _diagram_csv
 from graphdist.harness import random_tree_of_loops_spec
 
 from oracles import (
@@ -154,7 +156,7 @@ def test_tree_of_loops_spec_validation():
         tree_of_loops(
             TreeOfLoopsSpec(loops_per_node=((1.0,), (1.0,)), tree_edges=())
         )
-    with pytest.raises(SpecNotTreeOfLoops):
+    with pytest.raises(NonPositiveLength):
         tree_of_loops(
             TreeOfLoopsSpec(loops_per_node=((-1.0,),), tree_edges=())
         )
@@ -339,7 +341,7 @@ def test_stability_under_sup_ground():
 def test_diagram_csv_format():
     g = bouquet([2.0])
     d = extended_persistence_1d(g, V("o"))
-    lines = d.to_csv().strip().splitlines()
+    lines = _diagram_csv(d).strip().splitlines()
     assert lines[0] == "birth,death,edge_id"
     assert lines[1] == "0,1,loop0"
 
